@@ -442,11 +442,14 @@ Core::tryUnpark(ThreadContext &t, DynInst *inst, bool forced)
             return false;
     }
 
-    // Late LQ/SQ allocation (limit study).
+    // Late LQ/SQ allocation (limit study).  Only the forced ROB-head
+    // unpark may take the reserved entries: NR extraction is out of
+    // order, and younger memory ops holding the reserve could not
+    // commit past a parked head left with no slot (Section 5.4).
     bool need_lq = cfg_.ltp.delayLqSq && inst->op.isLoad();
     bool need_sq = cfg_.ltp.delayLqSq && inst->op.isStore();
-    if ((need_lq && !t.lsq.lqHasSpace(true)) ||
-        (need_sq && !t.lsq.sqHasSpace(true))) {
+    if ((need_lq && !t.lsq.lqHasSpace(forced)) ||
+        (need_sq && !t.lsq.sqHasSpace(forced))) {
         if (dst >= 0)
             regs(inst->dstClass()).release(dst);
         return false;

@@ -9,7 +9,7 @@
  *
  * The prediction table holds 2-bit saturating counters.  The paper
  * reports the predictor costs < 2 percentage points of performance
- * versus an oracle; bench_fig6 exposes both modes.
+ * versus an oracle; `core.ltp.classifier` selects either.
  */
 
 #ifndef LTP_LTP_LLPRED_HH

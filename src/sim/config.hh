@@ -1,7 +1,7 @@
 /**
  * @file
  * Whole-simulation configuration: core + memory + trace staging, with
- * the named presets every bench builds from.
+ * the named presets every scenario builds from.
  *
  *  - baseline():    Table 1 — IQ 64, RF 128+128, LQ 64, SQ 32, ROB 256,
  *                   3-level caches, stride prefetcher, LTP off.
@@ -10,7 +10,7 @@
  *                   learned classification (UIT 256) and the DRAM-timer
  *                   monitor.
  *  - limitStudy():  Section 4 — every resource effectively unlimited
- *                   except the ones a bench sweeps, infinite LTP with
+ *                   except the ones a study sweeps, infinite LTP with
  *                   oracle classification, LQ/SQ late allocation.
  */
 

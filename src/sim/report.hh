@@ -42,8 +42,8 @@ void writeFile(const std::string &path, const std::string &text);
 
 /**
  * Archive the JSON report at @p path ("1" selects the conventional
- * BENCH_<sweep name>.json) and print the summary line; shared by the
- * bench harnesses and the ltp driver.  @return the path written.
+ * BENCH_<sweep name>.json) and print the summary line.  @return the
+ * path written.
  */
 std::string writeJsonReport(const SweepResult &result,
                             const std::string &path);

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/logging.hh"
+#include "sim/report.hh"
 #include "trace/suite.hh"
 #include "trace/trace_workload.hh"
 
@@ -47,14 +49,6 @@ std::string
 panelRow(const std::string &panel, const std::string &point)
 {
     return panel + "|" + point;
-}
-
-void
-addPanelJob(SweepSpec &spec, const std::string &row,
-            const std::string &series, const SimConfig &cfg,
-            const Panels &panels, const std::string &panel)
-{
-    spec.addGroup(row, series, cfg, panelKernels(panels, panel), panel);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,11 +344,16 @@ parseConfig(const JsonValue &v, std::size_t index)
     std::string where = "configs[" + std::to_string(index) + "]";
     if (!v.isObject())
         wrongKind(v, "an object", where);
-    checkKeys(v, {"series", "preset", "mode", "name", "set"}, where);
+    checkKeys(v, {"series", "row", "preset", "mode", "name", "set"}, where);
 
     ScenarioConfig sc;
     sc.where = where;
     sc.series = strAt(v, "series", where);
+    if (find(v, "row")) {
+        sc.row = strAt(v, "row", where);
+        if (sc.row.empty())
+            bad(where + ".row must not be empty");
+    }
     if (const JsonValue *p = find(v, "preset")) {
         if (!p->isString())
             wrongKind(*p, "a string", where + ".preset");
@@ -391,19 +390,30 @@ parseConfig(const JsonValue &v, std::size_t index)
 }
 
 ScenarioSweep
-parseSweep(const JsonValue &v, const std::vector<ScenarioConfig> &configs)
+parseSweep(const JsonValue &v)
 {
     if (!v.isObject())
         wrongKind(v, "an object", "sweep");
-    checkKeys(v, {"path", "values", "baseline"}, "sweep");
+    checkKeys(v, {"path", "values"}, "sweep");
 
     ScenarioSweep sw;
-    sw.path = strAt(v, "path", "sweep");
-    {
-        std::vector<std::string> paths = configPaths();
-        if (std::find(paths.begin(), paths.end(), sw.path) == paths.end())
-            bad("unknown config path '" + sw.path + "' at sweep.path");
+    const JsonValue *path = find(v, "path");
+    if (!path)
+        bad("missing required key 'sweep.path'");
+    if (path->isArray()) {
+        sw.paths = stringList(*path, "sweep.path");
+        if (sw.paths.empty())
+            bad("sweep.path must not be an empty array");
+    } else {
+        sw.paths.push_back(strAt(v, "path", "sweep"));
     }
+    std::vector<std::string> known = configPaths();
+    for (std::size_t i = 0; i < sw.paths.size(); ++i)
+        if (std::find(known.begin(), known.end(), sw.paths[i]) ==
+            known.end())
+            bad("unknown config path '" + sw.paths[i] + "' at sweep.path" +
+                (path->isArray() ? "[" + std::to_string(i) + "]" : ""));
+
     const JsonValue *vals = find(v, "values");
     if (!vals)
         bad("missing required key 'sweep.values'");
@@ -412,24 +422,6 @@ parseSweep(const JsonValue &v, const std::vector<ScenarioConfig> &configs)
     for (std::size_t i = 0; i < vals->array.size(); ++i)
         sw.values.push_back(scalarLexeme(
             vals->array[i], "sweep.values[" + std::to_string(i) + "]"));
-
-    if (const JsonValue *b = find(v, "baseline")) {
-        if (!b->isObject())
-            wrongKind(*b, "an object", "sweep.baseline");
-        checkKeys(*b, {"series", "value"}, "sweep.baseline");
-        sw.hasBaseline = true;
-        sw.baselineSeries = strAt(*b, "series", "sweep.baseline");
-        const JsonValue *val = find(*b, "value");
-        if (!val)
-            bad("missing required key 'sweep.baseline.value'");
-        sw.baselineValue = scalarLexeme(*val, "sweep.baseline.value");
-        bool found = false;
-        for (const ScenarioConfig &c : configs)
-            found = found || c.series == sw.baselineSeries;
-        if (!found)
-            bad("sweep.baseline.series '" + sw.baselineSeries +
-                "' does not name any configs[].series");
-    }
     return sw;
 }
 
@@ -469,7 +461,123 @@ parseJob(const JsonValue &v, std::size_t index,
     return job;
 }
 
+/** metric(m) by metricsToJson field name; false if no such number. */
+bool
+metricField(const Metrics &m, const std::string &name, double *out)
+{
+    JsonValue root = parseJson(metricsToJson(m));
+    auto it = root.object.find(name);
+    if (it == root.object.end() || !it->second.isNumber())
+        return false;
+    *out = it->second.num;
+    return true;
+}
+
+GridCell
+parseCell(const JsonValue &v, const std::string &where)
+{
+    if (!v.isObject())
+        wrongKind(v, "an object", where);
+    checkKeys(v, {"row", "series"}, where);
+    return {strAt(v, "row", where), strAt(v, "series", where)};
+}
+
+ScenarioClaim
+parseClaim(const JsonValue &v, std::size_t index)
+{
+    std::string where = "claims[" + std::to_string(index) + "]";
+    if (!v.isObject())
+        wrongKind(v, "an object", where);
+    checkKeys(v, {"what", "cell", "metric", "vs", "min", "max"}, where);
+
+    ScenarioClaim c;
+    c.what = strAt(v, "what", where);
+    const JsonValue *cell = find(v, "cell");
+    if (!cell)
+        bad("missing required key '" + where + ".cell'");
+    c.cell = parseCell(*cell, where + ".cell");
+    c.metric = strAt(v, "metric", where);
+    double unused = 0.0;
+    if (!metricField(Metrics{}, c.metric, &unused))
+        bad("unknown metric '" + c.metric + "' at " + where +
+            ".metric (expected a numeric Metrics JSON field, e.g. ipc)");
+    if (const JsonValue *vs = find(v, "vs")) {
+        c.hasVs = true;
+        c.vs = parseCell(*vs, where + ".vs");
+    }
+    auto bound = [&](const char *key, bool *has, double *out) {
+        if (const JsonValue *b = find(v, key)) {
+            if (!b->isNumber())
+                wrongKind(*b, "a number", where + "." + key);
+            *has = true;
+            *out = b->num;
+        }
+    };
+    bound("min", &c.hasMin, &c.min);
+    bound("max", &c.hasMax, &c.max);
+    if (!c.hasMin && !c.hasMax)
+        bad(where + " needs a min, a max, or both");
+    if (c.hasMin && c.hasMax && c.min > c.max)
+        bad(where + ".min exceeds " + where + ".max");
+    return c;
+}
+
+/** Parse `claims` and check every cell reference against @p sc. */
+void
+parseClaims(Scenario &sc, const JsonValue &v)
+{
+    if (!v.isArray() || v.array.empty())
+        bad("claims must be a non-empty array");
+    std::vector<GridCell> cells = sc.cells();
+    auto check = [&](const GridCell &ref, const std::string &where) {
+        for (const GridCell &c : cells)
+            if (c.row == ref.row && c.series == ref.series)
+                return;
+        bad(where + " names no grid cell (row '" + ref.row +
+            "', series '" + ref.series + "')");
+    };
+    for (std::size_t i = 0; i < v.array.size(); ++i) {
+        ScenarioClaim c = parseClaim(v.array[i], i);
+        std::string where = "claims[" + std::to_string(i) + "]";
+        check(c.cell, where + ".cell");
+        if (c.hasVs)
+            check(c.vs, where + ".vs");
+        sc.claims.push_back(std::move(c));
+    }
+}
+
 } // namespace
+
+// ---------------------------------------------------------------------------
+// Claims
+// ---------------------------------------------------------------------------
+
+double
+ScenarioClaim::value(const ResultGrid &grid) const
+{
+    double v = 0.0;
+    metricField(grid.at(cell.row, cell.series), metric, &v);
+    if (!hasVs)
+        return v;
+    double ref = 0.0;
+    metricField(grid.at(vs.row, vs.series), metric, &ref);
+    return v / ref;
+}
+
+bool
+ScenarioClaim::holds(double v) const
+{
+    // Written so that NaN (e.g. 0/0) fails every bound.
+    return (!hasMin || v >= min) && (!hasMax || v <= max);
+}
+
+std::string
+ScenarioClaim::bounds() const
+{
+    if (hasMin && hasMax)
+        return strprintf("in [%g, %g]", min, max);
+    return hasMin ? strprintf(">= %g", min) : strprintf("<= %g", max);
+}
 
 // ---------------------------------------------------------------------------
 // Scenario
@@ -493,6 +601,97 @@ Scenario::buildConfig(const ScenarioConfig &sc) const
     return cfg;
 }
 
+std::vector<std::string>
+Scenario::workloadLabels() const
+{
+    std::vector<std::string> labels;
+    switch (workloadKind) {
+      case WorkloadKind::Kernels:
+        for (const std::string &k : kernels)
+            labels.push_back(isTraceName(k) ? traceLabel(tracePath(k)) : k);
+        break;
+      case WorkloadKind::Traces:
+        for (const std::string &path : traces)
+            labels.push_back(traceLabel(path));
+        break;
+      case WorkloadKind::Groups:
+        for (const auto &group : groups)
+            labels.push_back(group.first);
+        break;
+      case WorkloadKind::Pairs:
+        // The row label is the '+'-joined member list.
+        for (const std::vector<std::string> &members : pairs) {
+            std::string label = members[0];
+            for (std::size_t i = 1; i < members.size(); ++i)
+                label += "+" + members[i];
+            labels.push_back(label);
+        }
+        break;
+      case WorkloadKind::Panels:
+        labels = panels.empty() ? panelNames(Panels{}) : panels;
+        break;
+      case WorkloadKind::None:
+        bad("no workloads to compile");
+    }
+
+    // Row labels key the ResultGrid; a duplicate (e.g. two trace files
+    // with the same stem) would silently overwrite cells.
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        for (std::size_t j = i + 1; j < labels.size(); ++j)
+            if (labels[i] == labels[j])
+                bad("duplicate workload row label '" + labels[i] +
+                    "' (rename one of the colliding trace files or "
+                    "kernels)");
+    return labels;
+}
+
+namespace {
+
+/**
+ * The cells one workload row expands to, in job order: its pinned
+ * configs' `<label>|<row>` rows, then each sweep value × unpinned
+ * config (or each unpinned config, unswept, without a sweep).
+ * @p fn receives (row, config, sweep value or nullptr).
+ */
+template <typename Fn>
+void
+forEachCell(const Scenario &sc, const std::string &label, Fn &&fn)
+{
+    for (const ScenarioConfig &c : sc.configs)
+        if (!c.row.empty())
+            fn(panelRow(label, c.row), c, nullptr);
+    if (!sc.hasSweep) {
+        for (const ScenarioConfig &c : sc.configs)
+            if (c.row.empty())
+                fn(label, c, nullptr);
+        return;
+    }
+    for (const std::string &value : sc.sweep.values)
+        for (const ScenarioConfig &c : sc.configs)
+            if (c.row.empty())
+                fn(panelRow(label, value), c, &value);
+}
+
+} // namespace
+
+std::vector<GridCell>
+Scenario::cells() const
+{
+    std::vector<GridCell> out;
+    if (explicitJobs) {
+        for (const SweepJob &job : jobs)
+            out.push_back({job.row, job.series});
+        return out;
+    }
+    for (const std::string &label : workloadLabels())
+        forEachCell(*this, label,
+                    [&](const std::string &row, const ScenarioConfig &c,
+                        const std::string *) {
+                        out.push_back({row, c.series});
+                    });
+    return out;
+}
+
 SweepSpec
 Scenario::compile(int threads, ExecBackendPtr backend) const
 {
@@ -511,83 +710,35 @@ Scenario::compile(int threads, ExecBackendPtr backend) const
         return spec;
     }
 
-    // Expand workloads into (label, kernel list) pairs, paper order.
-    std::vector<std::pair<std::string, std::vector<std::string>>> work;
-    switch (workloadKind) {
-      case WorkloadKind::Kernels:
-        for (const std::string &k : kernels)
-            work.emplace_back(isTraceName(k) ? traceLabel(tracePath(k))
-                                             : k,
-                              std::vector<std::string>{k});
-        break;
-      case WorkloadKind::Traces:
-        for (const std::string &path : traces)
-            work.emplace_back(traceLabel(path),
-                              std::vector<std::string>{traceName(path)});
-        break;
-      case WorkloadKind::Groups:
-        for (const auto &[label, ks] : groups)
-            work.emplace_back(label, ks);
-        break;
-      case WorkloadKind::Pairs:
-        // One multiprogrammed simulation per tuple: the smt: name
-        // carries the whole co-schedule (the Simulator raises
-        // core.numThreads to the tuple size), and the row label is
-        // the '+'-joined member list.
-        for (const std::vector<std::string> &members : pairs) {
-            std::string label = members[0];
-            for (std::size_t i = 1; i < members.size(); ++i)
-                label += "+" + members[i];
-            work.emplace_back(label,
-                              std::vector<std::string>{smtName(members)});
+    std::vector<std::string> labels = workloadLabels();
+    Panels classified;
+    if (workloadKind == WorkloadKind::Panels)
+        classified = classifyPanels(lengths, seed, threads, backend);
+
+    // The kernels behind row label i: one simulation per kernel or
+    // trace, a group average, or one multiprogrammed smt: tuple (the
+    // Simulator raises core.numThreads to the tuple size).
+    auto kernelsOf = [&](std::size_t i) -> std::vector<std::string> {
+        switch (workloadKind) {
+          case WorkloadKind::Kernels: return {kernels[i]};
+          case WorkloadKind::Traces: return {traceName(traces[i])};
+          case WorkloadKind::Groups: return groups[i].second;
+          case WorkloadKind::Pairs: return {smtName(pairs[i])};
+          default: return panelKernels(classified, labels[i]);
         }
-        break;
-      case WorkloadKind::Panels: {
-        Panels p = classifyPanels(lengths, seed, threads, backend);
-        std::vector<std::string> ids =
-            panels.empty() ? panelNames(p) : panels;
-        for (const std::string &id : ids)
-            work.emplace_back(id, panelKernels(p, id));
-        break;
-      }
-      case WorkloadKind::None:
-        bad("no workloads to compile");
-    }
-
-    // Row labels key the ResultGrid; a duplicate (e.g. two trace files
-    // with the same stem) would silently overwrite cells.
-    for (std::size_t i = 0; i < work.size(); ++i)
-        for (std::size_t j = i + 1; j < work.size(); ++j)
-            if (work[i].first == work[j].first)
-                bad("duplicate workload row label '" + work[i].first +
-                    "' (rename one of the colliding trace files or "
-                    "kernels)");
-
-    auto withValue = [&](const ScenarioConfig &sc,
-                         const std::string &value) {
-        SimConfig cfg = buildConfig(sc);
-        applyOverride(cfg, sweep.path, value);
-        return cfg;
     };
 
-    for (const auto &[label, ks] : work) {
-        if (hasSweep && sweep.hasBaseline) {
-            for (const ScenarioConfig &sc : configs)
-                if (sc.series == sweep.baselineSeries)
-                    spec.addGroup(panelRow(label, "base"), sc.series,
-                                  withValue(sc, sweep.baselineValue), ks,
-                                  label);
-        }
-        if (!hasSweep) {
-            for (const ScenarioConfig &sc : configs)
-                spec.addGroup(label, sc.series, buildConfig(sc), ks,
-                              label);
-            continue;
-        }
-        for (const std::string &value : sweep.values)
-            for (const ScenarioConfig &sc : configs)
-                spec.addGroup(panelRow(label, value), sc.series,
-                              withValue(sc, value), ks, label);
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        std::vector<std::string> ks = kernelsOf(i);
+        forEachCell(*this, labels[i],
+                    [&](const std::string &row, const ScenarioConfig &c,
+                        const std::string *value) {
+                        SimConfig cfg = buildConfig(c);
+                        if (value)
+                            for (const std::string &path : sweep.paths)
+                                applyOverride(cfg, path, *value);
+                        spec.addGroup(row, c.series, cfg, ks, labels[i]);
+                    });
     }
     return spec;
 }
@@ -600,7 +751,7 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
         wrongKind(root, "an object", "<top level>");
     checkKeys(root,
               {"name", "lengths", "sampling", "seed", "workloads",
-               "configs", "sweep", "jobs"},
+               "configs", "sweep", "jobs", "claims"},
               "");
 
     Scenario sc;
@@ -613,6 +764,7 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
         sc.seed = u64FromJson(*s, "seed");
         sc.hasSeed = true;
     }
+    const JsonValue *claims = find(root, "claims");
 
     if (const JsonValue *jobs = find(root, "jobs")) {
         for (const char *key : {"workloads", "configs", "sweep"})
@@ -624,6 +776,8 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
         sc.explicitJobs = true;
         for (std::size_t i = 0; i < jobs->array.size(); ++i)
             sc.jobs.push_back(parseJob(jobs->array[i], i, baseDir));
+        if (claims)
+            parseClaims(sc, *claims);
         return sc;
     }
 
@@ -641,39 +795,47 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
     for (std::size_t i = 0; i < configs->array.size(); ++i) {
         ScenarioConfig c = parseConfig(configs->array[i], i);
         for (const ScenarioConfig &prev : sc.configs)
-            if (prev.series == c.series)
-                bad("duplicate series '" + c.series + "' at " + c.where);
+            if (prev.series == c.series && prev.row == c.row)
+                bad("duplicate series '" + c.series + "'" +
+                    (c.row.empty() ? "" : " in row '" + c.row + "'") +
+                    " at " + c.where);
         sc.configs.push_back(std::move(c));
     }
 
     if (const JsonValue *sweep = find(root, "sweep")) {
         sc.hasSweep = true;
-        sc.sweep = parseSweep(*sweep, sc.configs);
+        sc.sweep = parseSweep(*sweep);
+        bool swept = false;
+        for (const ScenarioConfig &c : sc.configs) {
+            swept = swept || c.row.empty();
+            // A pinned row named like a sweep point would share its
+            // grid row.
+            for (const std::string &v : sc.sweep.values)
+                if (c.row == v)
+                    bad(c.where + ".row '" + c.row +
+                        "' collides with a sweep value");
+        }
+        if (!swept)
+            bad("sweep needs at least one config without a row");
     }
 
     // Validate every config template and sweep value eagerly so errors
     // surface at parse time, naming their path, not mid-run.
     for (const ScenarioConfig &c : sc.configs) {
         SimConfig cfg = sc.buildConfig(c);
-        if (sc.hasSweep)
-            for (const std::string &v : sc.sweep.values) {
-                try {
-                    applyOverride(cfg, sc.sweep.path, v);
-                } catch (const std::runtime_error &e) {
-                    throw std::runtime_error(std::string(e.what()) +
-                                             " (in sweep.values)");
+        if (sc.hasSweep && c.row.empty())
+            for (const std::string &v : sc.sweep.values)
+                for (const std::string &path : sc.sweep.paths) {
+                    try {
+                        applyOverride(cfg, path, v);
+                    } catch (const std::runtime_error &e) {
+                        throw std::runtime_error(std::string(e.what()) +
+                                                 " (in sweep.values)");
+                    }
                 }
-            }
     }
-    if (sc.hasSweep && sc.sweep.hasBaseline) {
-        SimConfig cfg = sc.buildConfig(sc.configs.front());
-        try {
-            applyOverride(cfg, sc.sweep.path, sc.sweep.baselineValue);
-        } catch (const std::runtime_error &e) {
-            throw std::runtime_error(std::string(e.what()) +
-                                     " (in sweep.baseline.value)");
-        }
-    }
+    if (claims)
+        parseClaims(sc, *claims);
     return sc;
 }
 

@@ -1,28 +1,33 @@
 /**
  * @file
  * Declarative experiment scenarios: a JSON schema describing presets +
- * overrides, kernel lists / panel groups, run lengths, seeds, and the
- * row×series sweep shape, compiled into the Runner's SweepSpec — so new
- * experiments ship as files under scenarios/ instead of bench
- * binaries.
+ * overrides, kernel lists / panel groups, run lengths, seeds, the
+ * row×series sweep shape, and the claims its results must satisfy,
+ * compiled into the Runner's SweepSpec.  Every paper figure, table
+ * and ablation ships as a file under scenarios/.
  *
  * Two forms:
  *
- *  - **Declarative** — `workloads` (kernels | panels | groups | traces)
- *    crossed with `configs` (preset + mode + dotted `set` overrides),
- *    optionally swept along one config path per row (`sweep`),
- *    reproducing the paper-shaped studies (e.g. the Figure 6 limit
- *    rows) bit-identically to their bench binaries.  `traces` rows
+ *  - **Declarative** — `workloads` (kernels | panels | groups | traces
+ *    | pairs) crossed with `configs` (preset + mode + dotted `set`
+ *    overrides), optionally swept along one or more config paths set
+ *    to the same value per row (`sweep`).  A config with a `row` is
+ *    pinned to the unswept `<workload>|<row>` row instead (the
+ *    reference points a figure normalises against).  `traces` rows
  *    replay recorded `.lttr` files (paths relative to the scenario
  *    file); `trace:<path>` names are also accepted anywhere a kernel
  *    name is.
  *  - **Explicit** — a `jobs` array of (row, series, kernels, full
  *    config); what `sweepSpecToJson` exports, so any in-C++ SweepSpec
- *    round-trips through a file (the benches' `--export-scenario` hook).
+ *    round-trips through a file.
+ *
+ * Either form may carry `claims`: bounds on one grid cell's metric, or
+ * on its ratio to another cell's, that `ltp sweep` reports and the
+ * claims test asserts at the file's own staging.
  *
  * Malformed scenarios throw std::runtime_error naming the offending
- * JSON path ("configs[2].set.core.iqq", ...).  README.md documents the
- * full schema.
+ * JSON path ("configs[2].set.core.iqq", "claims[0].vs.row", ...).
+ * README.md documents the full schema.
  */
 
 #ifndef LTP_SIM_SCENARIO_HH
@@ -42,7 +47,8 @@ namespace ltp {
 
 // ---------------------------------------------------------------------------
 // Panels: the paper's four reporting units (two marquee kernels + the
-// two runtime-classified groups), shared by benches and scenarios.
+// two runtime-classified groups), used by panel scenarios and the
+// `ltp classify` command.
 // ---------------------------------------------------------------------------
 
 /** The four panels of Figure 6/7: two marquee kernels + two groups. */
@@ -71,11 +77,6 @@ std::vector<std::string> panelNames(const Panels &p);
 /** Grid key for a (panel, axis point) cell: "<panel>|<point>". */
 std::string panelRow(const std::string &panel, const std::string &point);
 
-/** Queue one (row, series) cell running @p cfg over @p panel. */
-void addPanelJob(SweepSpec &spec, const std::string &row,
-                 const std::string &series, const SimConfig &cfg,
-                 const Panels &panels, const std::string &panel);
-
 // ---------------------------------------------------------------------------
 // Scenario
 // ---------------------------------------------------------------------------
@@ -84,6 +85,7 @@ void addPanelJob(SweepSpec &spec, const std::string &row,
 struct ScenarioConfig
 {
     std::string series;            ///< grid series key
+    std::string row;               ///< pinned unswept row ("" = swept)
     std::string preset = "baseline"; ///< baseline | ltpProposal | limitStudy
     bool hasMode = false;
     LtpMode mode = LtpMode::NU;    ///< preset factory argument
@@ -92,14 +94,43 @@ struct ScenarioConfig
     std::string where;             ///< error-path prefix ("configs[2]")
 };
 
-/** Optional row axis: one config path swept over values. */
+/** Optional row axis: config paths all set to each value in turn. */
 struct ScenarioSweep
 {
-    std::string path;              ///< e.g. "core.iq"
+    std::vector<std::string> paths;  ///< e.g. {"core.iq"}
     std::vector<std::string> values; ///< "inf" or number lexemes, in order
-    bool hasBaseline = false;      ///< extra "<workload>|base" row
-    std::string baselineSeries;
-    std::string baselineValue;
+};
+
+/** One grid cell reference: (row, series). */
+struct GridCell
+{
+    std::string row;
+    std::string series;
+};
+
+/**
+ * A checked expectation: metric(cell), or metric(cell)/metric(vs) when
+ * `vs` is given, must lie within [min, max].  Metric names are the
+ * numeric fields of metricsToJson.
+ */
+struct ScenarioClaim
+{
+    std::string what;
+    GridCell cell;
+    std::string metric;
+    bool hasVs = false;
+    GridCell vs;
+    bool hasMin = false;
+    double min = 0.0;
+    bool hasMax = false;
+    double max = 0.0;
+
+    /** The claimed value on @p grid (throws if a cell is missing). */
+    double value(const ResultGrid &grid) const;
+    /** Whether @p v lies within the claim's bounds. */
+    bool holds(double v) const;
+    /** The bounds as text, e.g. ">= 1.5", "in [0.9, 1.1]". */
+    std::string bounds() const;
 };
 
 /** A parsed, validated scenario file. */
@@ -135,6 +166,8 @@ struct Scenario
     bool explicitJobs = false;
     std::vector<SweepJob> jobs;
 
+    std::vector<ScenarioClaim> claims; ///< checked by `ltp sweep`
+
     /**
      * Compile to a runnable SweepSpec.  Panels scenarios classify the
      * suite first, sharded over @p threads workers (grouping is
@@ -147,6 +180,14 @@ struct Scenario
 
     /** Materialize one series config: preset(mode) + seed + overrides. */
     SimConfig buildConfig(const ScenarioConfig &sc) const;
+
+    /** Every (row, series) cell the compiled grid will hold, in job
+     *  order; needs no classification, so it is known at parse time. */
+    std::vector<GridCell> cells() const;
+
+  private:
+    /** Row labels of the declared workloads, in paper order. */
+    std::vector<std::string> workloadLabels() const;
 };
 
 /**

@@ -5,10 +5,9 @@
  * Measures simulated kilo-instructions per wall-clock second (kIPS)
  * over representative suite kernels and whole scenario sweeps, always
  * single-threaded so the number tracks per-core cycle-kernel speed,
- * not host parallelism.  Reached via `ltp bench` and the standalone
- * `bench_simspeed` binary; results are archived as BENCH_simspeed.json
- * and gated in CI against bench/simspeed_baseline.json (fail on >25%
- * regression).
+ * not host parallelism.  Reached via `ltp bench`; results are
+ * archived as BENCH_simspeed.json and gated in CI against
+ * bench/simspeed_baseline.json (fail on >25% regression).
  *
  * "Simulated instructions" counts the detailed-model region only
  * (pipeline warm + measured detail); the functional cache warm runs

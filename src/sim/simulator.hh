@@ -51,7 +51,7 @@ struct RunLengths
         return RunLengths{30000, 4000, 20000};
     }
 
-    /** Default staging of the bench binaries (scaled Section 4.1). */
+    /** Staging of the figure scenarios (scaled Section 4.1). */
     static RunLengths
     bench()
     {
@@ -170,7 +170,7 @@ class Simulator
     /** Execute all three phases and return the detail-region metrics. */
     Metrics run();
 
-    /** One-shot convenience used by benches and tests. */
+    /** One-shot convenience used by examples and tests. */
     static Metrics runOnce(const SimConfig &cfg, const std::string &kernel,
                            const RunLengths &lengths = RunLengths{});
 

@@ -152,6 +152,28 @@ TEST(LtpIntegration, DeadlockStressAllKernels)
     }
 }
 
+TEST(LtpIntegration, LateLqSqAllocationNeverDeadlocks)
+{
+    // Limit-study late LQ/SQ allocation with small queues: out-of-order
+    // NR extraction once let younger memory ops take the reserved
+    // entries, starving the parked ROB head (the watchdog panicked on
+    // exactly these cells).  Each run must complete its detail window.
+    RunLengths lengths{2000, 400, 1000};
+    for (LtpMode mode : {LtpMode::NR, LtpMode::NRNU})
+        for (const char *path : {"core.lq", "core.sq"})
+            for (const char *size : {"8", "16"})
+                for (const char *kernel :
+                     {"graph_walk", "indirect_stream_fp", "linked_list",
+                      "bucket_shuffle"}) {
+                    SimConfig cfg = SimConfig::limitStudy(mode);
+                    applyOverride(cfg, path, size);
+                    Metrics m = Simulator::runOnce(cfg, kernel, lengths);
+                    EXPECT_GE(m.insts, lengths.detail)
+                        << kernel << " " << path << "=" << size << " "
+                        << ltpModeName(mode);
+                }
+}
+
 TEST(LtpIntegration, NrModeParksDependentLoads)
 {
     // graph_walk's fan-out loads are Urgent + Non-Ready: NU-only

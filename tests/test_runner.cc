@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
 
@@ -150,13 +149,8 @@ TEST(Runner, GroupAveragesBitIdenticalToSerial)
     expectIdentical(serial.grid.at("g", "mlp"),
                     parallel.grid.at("g", "mlp"));
 
-    // The average label is preserved and the runner matches the
-    // experiment-layer helper.
+    // The average label is preserved.
     EXPECT_EQ(serial.grid.at("g", "ilp").workload, "ilp");
-    Metrics direct = runGroupAverage(
-        SimConfig::baseline(), {"dense_compute", "reduction", "div_heavy"},
-        "ilp", RunLengths::quick());
-    expectIdentical(serial.grid.at("g", "ilp"), direct);
 }
 
 TEST(Runner, SerialPathReportsProgressPerCell)
@@ -192,20 +186,6 @@ TEST(Runner, ThreadedPathReportsFinalProgress)
     ASSERT_FALSE(seen.empty());
     EXPECT_EQ(seen.back().done, spec.simulationCount());
     EXPECT_EQ(seen.back().total, spec.simulationCount());
-}
-
-TEST(Runner, ExperimentHelpersMatchDirectSimulation)
-{
-    std::vector<Metrics> suite =
-        runSuite(SimConfig::baseline(), {"paper_loop", "hash_probe"},
-                 RunLengths::quick(), 2);
-    ASSERT_EQ(suite.size(), 2u);
-    expectIdentical(suite[0],
-                    Simulator::runOnce(SimConfig::baseline(), "paper_loop",
-                                       RunLengths::quick()));
-    expectIdentical(suite[1],
-                    Simulator::runOnce(SimConfig::baseline(), "hash_probe",
-                                       RunLengths::quick()));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the scenario layer: parse errors naming the offending JSON
- * path, declarative compilation onto SweepSpec, the explicit-jobs
- * export round trip, and the golden equivalence of
- * scenarios/fig6_iq_quick.json with the in-C++ Figure 6 IQ SweepSpec —
- * including bit-identical Metrics for every (row, series) cell with
- * the scenario side sharded across threads.
+ * path, declarative compilation onto SweepSpec (pinned rows and
+ * multi-path sweeps included), claims, the explicit-jobs export round
+ * trip, and the shipped files under scenarios/ — the quick Figure 6 IQ
+ * file must compile to the full-length one's SweepSpec at equal
+ * staging.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "bench_fig6_common.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
@@ -153,13 +152,19 @@ TEST(Scenario, UnknownSweepKeysNameTheirPath)
         "\"sweep\": {\"path\": \"core.iq\", \"values\": [1], "
         "\"valuess\": [2]}}",
         "sweep.valuess");
+    // The single-series baseline row is gone; pinned configs replace it.
     expectParseErrorContains(
         "{\"name\": \"x\", \"workloads\": {\"kernels\": "
         "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}], "
         "\"sweep\": {\"path\": \"core.iq\", \"values\": [1], "
-        "\"baseline\": {\"series\": \"a\", \"value\": 1, "
-        "\"vlaue\": 2}}}",
-        "sweep.baseline.vlaue");
+        "\"baseline\": {\"series\": \"a\", \"value\": 1}}}",
+        "sweep.baseline");
+    expectParseErrorContains(
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}], "
+        "\"sweep\": {\"path\": [\"core.intRegs\", \"core.fpRegz\"], "
+        "\"values\": [1]}}",
+        "sweep.path[1]");
 }
 
 TEST(Scenario, TraceWorkloadErrorsNameTheirPath)
@@ -224,12 +229,72 @@ TEST(Scenario, SemanticErrorsAreDescriptive)
     expectParseErrorContains(
         "{\"name\": \"x\", \"jobs\": [], \"configs\": []}",
         "mutually exclusive");
+    // Pinned rows: unique per (row, series), never a sweep point.
     expectParseErrorContains(
         "{\"name\": \"x\", \"workloads\": {\"kernels\": "
-        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}], "
-        "\"sweep\": {\"path\": \"core.iq\", \"values\": [1], "
-        "\"baseline\": {\"series\": \"nope\", \"value\": 2}}}",
-        "sweep.baseline.series");
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\", "
+        "\"row\": \"base\"}, {\"series\": \"a\", \"row\": \"base\"}]}",
+        "duplicate series 'a' in row 'base' at configs[1]");
+    expectParseErrorContains(
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\", "
+        "\"row\": \"32\"}, {\"series\": \"a\"}], "
+        "\"sweep\": {\"path\": \"core.iq\", \"values\": [32]}}",
+        "configs[0].row");
+    expectParseErrorContains(
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\", "
+        "\"row\": \"base\"}], "
+        "\"sweep\": {\"path\": \"core.iq\", \"values\": [32]}}",
+        "without a row");
+}
+
+TEST(Scenario, ClaimErrorsNameTheirPath)
+{
+    const std::string head =
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}, "
+        "{\"series\": \"b\", \"row\": \"base\"}], \"claims\": ";
+    const std::string ok =
+        "{\"what\": \"w\", \"cell\": {\"row\": \"graph_walk\", "
+        "\"series\": \"a\"}, \"metric\": \"ipc\", \"min\": 0}";
+    EXPECT_EQ(scenarioFromJson(head + "[" + ok + "]}").claims.size(), 1u);
+
+    expectParseErrorContains(head + "[]}", "claims must be");
+    expectParseErrorContains(
+        head + "[" + ok + ", {\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk|32\", \"series\": \"a\"}, \"metric\": \"ipc\", "
+        "\"min\": 1}]}",
+        "claims[1].cell names no grid cell (row 'graph_walk|32'");
+    expectParseErrorContains(
+        head + "[{\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk\", \"series\": \"a\"}, \"vs\": {\"row\": "
+        "\"graph_walk|base\", \"series\": \"a\"}, \"metric\": "
+        "\"ipc\", \"min\": 1}]}",
+        "claims[0].vs names no grid cell");
+    expectParseErrorContains(
+        head + "[{\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk\", \"series\": \"a\"}, \"metric\": \"ipcc\", "
+        "\"min\": 1}]}",
+        "claims[0].metric");
+    expectParseErrorContains(
+        head + "[{\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk\", \"series\": \"a\"}, \"metric\": \"ipc\"}]}",
+        "claims[0] needs a min, a max, or both");
+    expectParseErrorContains(
+        head + "[{\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk\", \"series\": \"a\"}, \"metric\": \"ipc\", "
+        "\"min\": 2, \"max\": 1}]}",
+        "claims[0].min exceeds");
+    expectParseErrorContains(
+        head + "[{\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk\", \"series\": \"a\"}, \"metric\": \"ipc\", "
+        "\"max\": \"1\"}]}",
+        "claims[0].max");
+    expectParseErrorContains(
+        head + "[{\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk\"}, \"metric\": \"ipc\", \"min\": 1}]}",
+        "claims[0].cell.series");
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +334,84 @@ TEST(Scenario, DeclarativeCompileMatchesHandBuiltSpec)
     // Hand-built order is per-kernel, per-size, per-series; the
     // compiler emits per-kernel, per-size, per-series too.
     expectSpecsIdentical(got, want);
+}
+
+TEST(Scenario, PinnedRowsAndMultiPathSweepCompile)
+{
+    Scenario sc = scenarioFromJson(
+        "{\"name\": \"rf\","
+        " \"lengths\": \"quick\","
+        " \"workloads\": {\"kernels\": [\"graph_walk\"]},"
+        " \"configs\": ["
+        "   {\"series\": \"off\", \"row\": \"base\","
+        "    \"preset\": \"limitStudy\", \"mode\": \"off\","
+        "    \"set\": {\"core.intRegs\": 128, \"core.fpRegs\": 128}},"
+        "   {\"series\": \"shrink\", \"row\": \"base\","
+        "    \"preset\": \"baseline\", \"name\": \"shrink\"},"
+        "   {\"series\": \"off\", \"preset\": \"limitStudy\","
+        "    \"mode\": \"off\"}],"
+        " \"sweep\": {\"path\": [\"core.intRegs\", \"core.fpRegs\"],"
+        "   \"values\": [\"inf\", 64]}}");
+    SweepSpec got = sc.compile(1);
+
+    SweepSpec want;
+    want.name = "rf";
+    want.lengths = RunLengths::quick();
+    SimConfig off = SimConfig::limitStudy(LtpMode::Off);
+    want.addGroup("graph_walk|base", "off", SimConfig(off).withRegs(128),
+                  {"graph_walk"}, "graph_walk");
+    want.addGroup("graph_walk|base", "shrink",
+                  SimConfig::baseline().withName("shrink"), {"graph_walk"},
+                  "graph_walk");
+    want.addGroup("graph_walk|inf", "off",
+                  SimConfig(off).withRegs(kInfiniteSize), {"graph_walk"},
+                  "graph_walk");
+    want.addGroup("graph_walk|64", "off", SimConfig(off).withRegs(64),
+                  {"graph_walk"}, "graph_walk");
+    expectSpecsIdentical(got, want);
+
+    // cells() lists the same (row, series) pairs, known before compile.
+    std::vector<GridCell> cells = sc.cells();
+    ASSERT_EQ(cells.size(), got.jobs.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cells[i].row, got.jobs[i].row);
+        EXPECT_EQ(cells[i].series, got.jobs[i].series);
+    }
+}
+
+TEST(Scenario, ClaimsEvaluateMetricsAndRatios)
+{
+    ResultGrid grid;
+    Metrics base, small;
+    base.ipc = 2.0;
+    small.ipc = 1.5;
+    small.avgOutstanding = 4.0;
+    grid.put("k|base", "a", base);
+    grid.put("k|32", "a", small);
+
+    ScenarioClaim ratio;
+    ratio.cell = {"k|32", "a"};
+    ratio.vs = {"k|base", "a"};
+    ratio.hasVs = true;
+    ratio.metric = "ipc";
+    ratio.hasMax = true;
+    ratio.max = 0.8;
+    EXPECT_DOUBLE_EQ(ratio.value(grid), 0.75);
+    EXPECT_TRUE(ratio.holds(ratio.value(grid)));
+    EXPECT_EQ(ratio.bounds(), "<= 0.8");
+
+    ScenarioClaim plain;
+    plain.cell = {"k|32", "a"};
+    plain.metric = "avgOutstanding";
+    plain.hasMin = true;
+    plain.min = 4.5;
+    EXPECT_DOUBLE_EQ(plain.value(grid), 4.0);
+    EXPECT_FALSE(plain.holds(plain.value(grid)));
+    plain.hasMax = true;
+    plain.max = 5.0;
+    EXPECT_EQ(plain.bounds(), "in [4.5, 5]");
+    // 0/0 fails every bound rather than passing vacuously.
+    EXPECT_FALSE(plain.holds(0.0 / 0.0));
 }
 
 TEST(Scenario, GroupWorkloadsAverageLikeAddGroup)
@@ -339,35 +482,30 @@ TEST(Scenario, SweepSpecExportRoundTripsAndRunsIdentically)
 // Golden scenarios shipped in scenarios/
 // ---------------------------------------------------------------------------
 
-TEST(Scenario, GoldenFig6IqQuickMatchesBenchSpec)
+TEST(Scenario, GoldenFig6IqQuickMatchesFullLengthFile)
 {
-    Scenario sc =
+    Scenario quick =
         loadScenarioFile(std::string(LTP_SCENARIO_DIR) +
                          "/fig6_iq_quick.json");
-    EXPECT_EQ(sc.name, "fig6_IQ");
-    EXPECT_EQ(sc.lengths.funcWarm, 6000u);
-    EXPECT_EQ(sc.lengths.pipeWarm, 1000u);
-    EXPECT_EQ(sc.lengths.detail, 3000u);
-    EXPECT_EQ(sc.seed, 1u);
+    EXPECT_EQ(quick.name, "fig6_IQ");
+    EXPECT_EQ(quick.lengths.funcWarm, 6000u);
+    EXPECT_EQ(quick.lengths.pipeWarm, 1000u);
+    EXPECT_EQ(quick.lengths.detail, 3000u);
+    EXPECT_EQ(quick.seed, 1u);
+    EXPECT_TRUE(quick.claims.empty());
 
-    SweepSpec from_json = sc.compile(1);
-
-    // The equivalent spec, built exactly as bench_fig6_limit_iq does.
-    Panels panels = classifyPanels(sc.lengths, sc.seed, 1);
-    SweepSpec from_cpp = bench::fig6Spec(
-        panels, bench::SweptResource::Iq, "IQ",
-        {kInfiniteSize, 128, 64, 32, 16}, 64, sc.seed, sc.lengths);
-
-    expectSpecsIdentical(from_json, from_cpp);
-
-    // Same configs, lengths, and seeds => bit-identical Metrics for
-    // every (row, series) cell; run at reduced staging to keep the
-    // full-grid comparison fast, with the scenario side sharded.
-    from_json.lengths = RunLengths{2000, 400, 1000};
-    from_cpp.lengths = from_json.lengths;
-    SweepResult json_run = Runner(2).run(from_json);
-    SweepResult cpp_run = Runner(1).run(from_cpp);
-    expectGridsIdentical(json_run.grid, cpp_run.grid);
+    // The figure file differs only in staging (and its claims): at the
+    // quick file's staging both compile to the same SweepSpec, so the
+    // quick goldens stand for the full figure.
+    Scenario full = loadScenarioFile(std::string(LTP_SCENARIO_DIR) +
+                                     "/fig6_iq.json");
+    EXPECT_EQ(full.lengths.detail, RunLengths::bench().detail);
+    EXPECT_FALSE(full.claims.empty());
+    full.lengths = quick.lengths;
+    SweepSpec from_quick = quick.compile(2);
+    expectSpecsIdentical(from_quick, full.compile(2));
+    // 4 panels x (1 base + 5 sizes x 4 modes).
+    EXPECT_EQ(from_quick.jobs.size(), 84u);
 }
 
 TEST(Scenario, GoldenTable1CompareUsesTheExactPresets)

@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests for the sim layer: config presets, staging, metrics extraction
- * and averaging, the Section 4.1 MLP classifier, and experiment
- * helpers.
+ * Tests for the sim layer: config presets (Table 1), staging, metrics
+ * extraction and averaging, and the Section 4.1 MLP classifier.
  */
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "sim/experiment.hh"
 #include "sim/mlp_class.hh"
+#include "sim/runner.hh"
 #include "sim/simulator.hh"
 #include "trace/suite.hh"
 
@@ -21,16 +20,32 @@ TEST(Config, BaselineEncodesTable1)
 {
     SimConfig cfg = SimConfig::baseline();
     EXPECT_EQ(cfg.core.fetchWidth, 8);
+    EXPECT_EQ(cfg.core.decodeWidth, 8);
+    EXPECT_EQ(cfg.core.renameWidth, 8);
     EXPECT_EQ(cfg.core.issueWidth, 6);
+    EXPECT_EQ(cfg.core.wbWidth, 8);
+    EXPECT_EQ(cfg.core.commitWidth, 8);
     EXPECT_EQ(cfg.core.robSize, 256);
     EXPECT_EQ(cfg.core.iqSize, 64);
     EXPECT_EQ(cfg.core.lqSize, 64);
     EXPECT_EQ(cfg.core.sqSize, 32);
     EXPECT_EQ(cfg.core.intRegs, 128);
     EXPECT_EQ(cfg.core.fpRegs, 128);
-    EXPECT_EQ(cfg.mem.l1d.sizeKB, 32);
-    EXPECT_EQ(cfg.mem.l2.sizeKB, 256);
-    EXPECT_EQ(cfg.mem.l3.sizeKB, 1024);
+    // Caches: size kB / associativity / load-to-use latency.
+    struct Level
+    {
+        const CacheConfig &cache;
+        int sizeKB, assoc;
+        Cycle latency;
+    };
+    for (const Level &l : {Level{cfg.mem.l1i, 32, 8, 4},
+                           Level{cfg.mem.l1d, 32, 8, 4},
+                           Level{cfg.mem.l2, 256, 8, 12},
+                           Level{cfg.mem.l3, 1024, 16, 36}}) {
+        EXPECT_EQ(l.cache.sizeKB, l.sizeKB);
+        EXPECT_EQ(l.cache.assoc, l.assoc);
+        EXPECT_EQ(l.cache.hitLatency, l.latency);
+    }
     EXPECT_TRUE(cfg.mem.prefetchEnabled);
     EXPECT_EQ(cfg.mem.prefetchDegree, 4);
     EXPECT_EQ(cfg.core.ltp.mode, LtpMode::Off);
@@ -41,9 +56,18 @@ TEST(Config, ProposalShrinksIqAndRf)
     SimConfig cfg = SimConfig::ltpProposal();
     EXPECT_EQ(cfg.core.iqSize, 32);
     EXPECT_EQ(cfg.core.intRegs, 96);
+    EXPECT_EQ(cfg.core.fpRegs, 96);
+    // Everything else is the Table 1 machine.
+    SimConfig base = SimConfig::baseline();
+    EXPECT_EQ(cfg.core.robSize, base.core.robSize);
+    EXPECT_EQ(cfg.core.lqSize, base.core.lqSize);
+    EXPECT_EQ(cfg.core.sqSize, base.core.sqSize);
+    EXPECT_EQ(cfg.core.issueWidth, base.core.issueWidth);
+    EXPECT_EQ(cfg.mem.l3.sizeKB, base.mem.l3.sizeKB);
     EXPECT_EQ(cfg.core.ltp.mode, LtpMode::NU);
     EXPECT_EQ(cfg.core.ltp.entries, 128);
     EXPECT_EQ(cfg.core.ltp.insertPorts, 4);
+    EXPECT_EQ(cfg.core.ltp.extractPorts, 4);
     EXPECT_EQ(cfg.core.ltp.uitEntries, 256);
     EXPECT_TRUE(cfg.core.ltp.useMonitor);
 }
@@ -174,21 +198,6 @@ TEST(Experiment, ResultGridMissingKeyNamesTheKey)
         EXPECT_NE(what.find("series 'LTP (NR)'"), std::string::npos);
         EXPECT_NE(what.find("row '64'"), std::string::npos);
     }
-}
-
-TEST(Experiment, SizeLabels)
-{
-    EXPECT_EQ(sizeLabel(64), "64");
-    EXPECT_EQ(sizeLabel(kInfiniteSize), "inf");
-}
-
-TEST(Experiment, GroupAverageRuns)
-{
-    Metrics avg = runGroupAverage(SimConfig::baseline(),
-                                  {"dense_compute", "reduction"}, "ilp",
-                                  RunLengths::quick());
-    EXPECT_EQ(avg.workload, "ilp");
-    EXPECT_GT(avg.ipc, 1.0);
 }
 
 TEST(MlpClass, MarqueeKernelsClassifyAsDesigned)

@@ -51,7 +51,6 @@
 #include "serve/worker_pool.hh"
 #include "sim/config.hh"
 #include "sim/exec_backend.hh"
-#include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
@@ -75,7 +74,8 @@ usage(int status)
         "\n"
         "commands:\n"
         "  run            simulate one config over one or more kernels\n"
-        "  sweep <file>   compile and run a JSON scenario file\n"
+        "  sweep <file>   compile and run a JSON scenario file, then\n"
+        "                 print its claims' values and PASS/FAIL\n"
         "                 (--progress prints a cells-done heartbeat;\n"
         "                 --submit ships the whole scenario to an\n"
         "                 `ltp serve` daemon in one request instead)\n"
@@ -118,6 +118,17 @@ usage(int status)
         "                      before the sweep fails (default 300000)\n",
         kDefaultServePort);
     return status;
+}
+
+/** Apply the --warm/--pipewarm/--detail staging flags onto @p dflt. */
+RunLengths
+stagingLengths(const Cli &cli, const RunLengths &dflt)
+{
+    RunLengths lengths = dflt;
+    lengths.funcWarm = cli.integer("warm", lengths.funcWarm);
+    lengths.pipeWarm = cli.integer("pipewarm", lengths.pipeWarm);
+    lengths.detail = cli.integer("detail", lengths.detail);
+    return lengths;
 }
 
 /** Apply every --set key=value onto @p cfg; fatal on bad paths. */
@@ -261,6 +272,26 @@ printGrid(const SweepResult &result)
                       "threads, %.0f ms",
                       result.name.c_str(), result.simulations,
                       result.threads, result.wallMs));
+}
+
+/**
+ * Each claim's value and PASS/FAIL, printed after the grid.  A miss
+ * does not change the exit status: a run at other staging or seed may
+ * legitimately miss a claim measured at the file's own settings.
+ */
+void
+printClaims(const std::vector<ScenarioClaim> &claims,
+            const ResultGrid &grid)
+{
+    if (claims.empty())
+        return;
+    Table t({"claim", "value", "bound", "result"});
+    for (const ScenarioClaim &c : claims) {
+        double v = c.value(grid);
+        t.addRow({c.what, Table::num(v, 3), c.bounds(),
+                  c.holds(v) ? "PASS" : "FAIL"});
+    }
+    t.print("claims");
 }
 
 SamplePlan samplePlanFromCli(const Cli &cli, SamplePlan base);
@@ -467,6 +498,17 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
                     result.name.c_str(), host.c_str(), port,
                     result.simulations, result.threads);
         printGrid(result);
+        // The daemon compiled the scenario; its claims are checked here
+        // against the returned grid (a file whose traces live only on
+        // the daemon cannot be loaded locally, so it skips them).
+        if (root.object.count("claims")) {
+            try {
+                printClaims(loadScenarioFile(path).claims, result.grid);
+            } catch (const std::runtime_error &e) {
+                std::fprintf(stderr, "claims not checked: %s\n",
+                             e.what());
+            }
+        }
         printBackendSummary(result);
         maybeArchive(cli, result);
     } catch (const std::exception &e) {
@@ -548,6 +590,7 @@ cmdSweep(const std::string &path, const Cli &cli)
     }
     SweepResult result = Runner(threads, backend).run(spec, progress);
     printGrid(result);
+    printClaims(scenario.claims, result.grid);
     printBackendSummary(result);
     maybeArchive(cli, result);
     return 0;
