@@ -7,32 +7,7 @@
 #include <thread>
 #include <utility>
 
-#include "sim/report.hh"
-
 namespace ltp {
-
-namespace {
-
-JsonValue
-jsonStr(const std::string &s)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    v.str = s;
-    return v;
-}
-
-JsonValue
-jsonU64(std::uint64_t n)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.num = double(n);
-    v.str = std::to_string(n);
-    return v;
-}
-
-} // namespace
 
 ServeBackend::ServeBackend(const std::string &host, int port,
                            const ServeClientOptions &opts)
@@ -93,24 +68,20 @@ ServeBackend::readerLoop()
         if (idIt == frame.object.end()) {
             // Unaddressed frames are server-push events; today that
             // is only the progress stream.
-            std::function<void(std::uint64_t, std::uint64_t,
-                               std::uint64_t)>
-                handler;
+            ProgressFn handler;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 progressFrames_ += 1;
                 handler = progressHandler_;
             }
             if (handler) {
-                auto u64 = [&frame](const char *key) -> std::uint64_t {
-                    auto it = frame.object.find(key);
-                    std::uint64_t out = 0;
-                    if (it != frame.object.end() &&
-                        it->second.isNumber())
-                        u64FromLexeme(it->second.str, &out);
-                    return out;
-                };
-                handler(u64("done"), u64("total"), u64("hits"));
+                try {
+                    handler(Progress{frameU64(frame, "done"),
+                                     frameU64(frame, "total"),
+                                     frameU64(frame, "hits"), ""});
+                } catch (const std::exception &) {
+                    // A malformed push is dropped like any garbage.
+                }
             }
             continue;
         }
@@ -220,41 +191,21 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
                       const RunLengths &lengths,
                       const SamplePlan &sampling)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
-    frame.object["type"] = jsonStr("run");
+    JsonValue frame = objectFrame("run");
     if (!key.empty())
         frame.object["key"] = jsonStr(key.hex);
     frame.object["workload"] = jsonStr(workload);
     frame.object["config"] = parseJson(configToJson(cfg));
-    JsonValue len;
-    len.kind = JsonValue::Kind::Object;
-    len.object["funcWarm"] = jsonU64(lengths.funcWarm);
-    len.object["pipeWarm"] = jsonU64(lengths.pipeWarm);
-    len.object["detail"] = jsonU64(lengths.detail);
-    frame.object["lengths"] = len;
+    frame.object["lengths"] = lengthsJson(lengths);
     // Omitted when disabled: non-sampled clients stay wire-compatible
     // with protocol-v1 daemons.
-    if (sampling.enabled()) {
-        JsonValue sp;
-        sp.kind = JsonValue::Kind::Object;
-        sp.object["fastForward"] = jsonU64(sampling.fastForward);
-        sp.object["warmup"] = jsonU64(sampling.warmup);
-        sp.object["detail"] = jsonU64(sampling.detail);
-        sp.object["samples"] = jsonU64(std::uint64_t(sampling.samples));
-        frame.object["sampling"] = sp;
-    }
+    if (sampling.enabled())
+        frame.object["sampling"] = samplingJson(sampling);
 
     JsonValue reply = call(std::move(frame));
 
-    auto metricsIt = reply.object.find("metrics");
-    if (metricsIt == reply.object.end() ||
-        !metricsIt->second.isObject())
-        throw std::runtime_error("serve result frame missing metrics");
-
     CellResult out;
-    out.metrics =
-        metricsFromJson(writeJsonCompact(metricsIt->second));
+    out.metrics = frameMetrics(reply, "metrics");
     auto flag = [&reply](const char *name) {
         auto it = reply.object.find(name);
         return it != reply.object.end() && it->second.isBool() &&
@@ -269,9 +220,7 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
 bool
 ServeBackend::lookup(const CellKey &key, Metrics *out)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
-    frame.object["type"] = jsonStr("lookup");
+    JsonValue frame = objectFrame("lookup");
     frame.object["key"] = jsonStr(key.hex);
 
     JsonValue reply = call(std::move(frame));
@@ -280,69 +229,38 @@ ServeBackend::lookup(const CellKey &key, Metrics *out)
         throw std::runtime_error("serve lookup reply missing 'found'");
     if (!foundIt->second.boolean)
         return false;
-    auto metricsIt = reply.object.find("metrics");
-    if (metricsIt == reply.object.end() ||
-        !metricsIt->second.isObject())
-        throw std::runtime_error("serve lookup hit missing metrics");
-    *out = metricsFromJson(writeJsonCompact(metricsIt->second));
+    *out = frameMetrics(reply, "metrics");
     return true;
 }
 
 SweepResult
 ServeBackend::submitScenario(const JsonValue &scenario)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
-    frame.object["type"] = jsonStr("scenario");
+    JsonValue frame = objectFrame("scenario");
     frame.object["scenario"] = scenario;
 
     JsonValue reply = call(std::move(frame));
 
-    auto field = [&reply](const char *key) -> const JsonValue & {
-        auto it = reply.object.find(key);
-        if (it == reply.object.end())
-            throw std::runtime_error(
-                std::string("serve sweep reply missing '") + key + "'");
-        return it->second;
-    };
-    auto u64 = [&field](const char *key) {
-        const JsonValue &v = field(key);
-        std::uint64_t out = 0;
-        if (!v.isNumber() || !u64FromLexeme(v.str, &out))
-            throw std::runtime_error(
-                std::string("serve sweep reply field '") + key +
-                "' is not a u64");
-        return out;
-    };
-
     SweepResult out;
-    out.name = field("name").str;
+    out.name = frameStr(reply, "name");
     out.backend = "serve";
-    out.threads = int(u64("threads"));
-    out.simulations = std::size_t(u64("simulations"));
-    out.cacheHits = std::size_t(u64("cacheHits"));
-    const JsonValue &wall = field("wall_ms");
-    if (wall.isNumber())
-        out.wallMs = wall.num;
+    out.threads = int(frameU64(reply, "threads"));
+    out.simulations = std::size_t(frameU64(reply, "simulations"));
+    out.cacheHits = std::size_t(frameU64(reply, "cacheHits"));
+    auto wall = reply.object.find("wall_ms");
+    if (wall != reply.object.end() && wall->second.isNumber())
+        out.wallMs = wall->second.num;
 
-    const JsonValue &results = field("results");
-    if (!results.isArray())
+    auto results = reply.object.find("results");
+    if (results == reply.object.end() || !results->second.isArray())
         throw std::runtime_error(
             "serve sweep reply 'results' is not an array");
-    for (const JsonValue &cell : results.array) {
+    for (const JsonValue &cell : results->second.array) {
         if (!cell.isObject())
             throw std::runtime_error(
                 "serve sweep reply has a non-object result cell");
-        auto at = [&cell](const char *key) -> const JsonValue & {
-            auto it = cell.object.find(key);
-            if (it == cell.object.end())
-                throw std::runtime_error(
-                    std::string("serve sweep result cell missing '") +
-                    key + "'");
-            return it->second;
-        };
-        out.grid.put(at("row").str, at("series").str,
-                     metricsFromJson(writeJsonCompact(at("metrics"))));
+        out.grid.put(frameStr(cell, "row"), frameStr(cell, "series"),
+                     frameMetrics(cell, "metrics"));
     }
     return out;
 }
@@ -350,10 +268,7 @@ ServeBackend::submitScenario(const JsonValue &scenario)
 JsonValue
 ServeBackend::rpc(const std::string &type)
 {
-    JsonValue frame;
-    frame.kind = JsonValue::Kind::Object;
-    frame.object["type"] = jsonStr(type);
-    return call(std::move(frame));
+    return call(objectFrame(type));
 }
 
 std::uint64_t
@@ -364,8 +279,7 @@ ServeBackend::progressFrames() const
 }
 
 void
-ServeBackend::setProgressHandler(
-    std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)> fn)
+ServeBackend::setProgressHandler(ProgressFn fn)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     progressHandler_ = std::move(fn);

@@ -18,7 +18,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -97,19 +96,19 @@ class ServeBackend : public ExecBackend
      *  an `error` reply. */
     JsonValue rpc(const std::string &type);
 
+    /** "host:port" of the daemon, as error messages name it. */
+    std::string address() const;
+
     /** Progress frames received from the server (observability). */
     std::uint64_t progressFrames() const;
 
     /** Install a callback invoked (from the reader thread) for every
-     *  server-streamed progress frame: (done, total, hits). */
-    void setProgressHandler(
-        std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)>
-            fn);
+     *  server-streamed progress frame. */
+    void setProgressHandler(ProgressFn fn);
 
   private:
     void readerLoop();
     JsonValue call(JsonValue frame);
-    std::string address() const;
 
     ServeClientOptions opts_;
     std::string host_;
@@ -123,8 +122,7 @@ class ServeBackend : public ExecBackend
     bool dead_ = false;
     std::string deadReason_;
     std::uint64_t progressFrames_ = 0;
-    std::function<void(std::uint64_t, std::uint64_t, std::uint64_t)>
-        progressHandler_;
+    ProgressFn progressHandler_;
     /** Lines received, ever: the liveness signal behind the per-
      *  request reply timeout. */
     std::atomic<std::uint64_t> framesSeen_{0};

@@ -24,24 +24,27 @@
  *                                     (after draining, then exits)
  *   ← {"id":N,"type":"error","message":"..."}            (any failure)
  *
- * Distributed mode: started with --worker=host:port (repeatable) the
- * daemon becomes a frontend that schedules cells onto remote worker
- * daemons through a WorkerPool (serve/worker_pool.hh) — LPT dispatch,
- * re-dispatch on worker failure, cache peer lookup via the `lookup`
- * frame, and in-process fallback when every worker is down.  The
- * `scenario` frame compiles and runs a whole scenario server-side
- * (trace paths resolved against --trace-dir), so a client sends one
- * frame per study instead of one per cell.
+ * Every cell — of a `run` frame or of a submitted `scenario`, which
+ * the stock Runner runs server-side — goes down one ExecBackend chain
+ * built at construction:
+ *
+ *   dedupe → CachedBackend (unless --no-cache) → WorkerPool | LocalBackend
+ *
+ *  - dedupe (server.cc): identical cells in flight at the same moment
+ *    (same CellKey hex, any client) compute once; the others wait and
+ *    reply with deduped=true, or rethrow the one failure.  It owns the
+ *    computed/cacheHits/deduped counters and the shutdown drain.
+ *  - CachedBackend: the same on-disk ResultCache a local sweep uses,
+ *    so a warm daemon and a warm local cache are interchangeable.
+ *  - WorkerPool (serve/worker_pool.hh) when started with
+ *    --worker=host:port: peer cache lookup, LPT dispatch to remote
+ *    daemons, in-process fallback.  Otherwise LocalBackend.
  *
  * Requests are pipelined: each connection has one reader thread that
  * parses frames and submits `run` cells to the shared pool, so
  * responses can arrive out of submission order — clients match them by
- * id.  Identical cells in flight at the same moment (same CellKey hex,
- * possibly from different clients) are deduped: one computes, the rest
- * wait on its shared_future and reply with deduped=true.  Results are
- * answered from — and persisted to — the same on-disk ResultCache the
- * local CachedBackend uses, so a warm serve daemon and a warm local
- * cache are interchangeable.
+ * id.  A `scenario` frame runs on its connection's reader thread,
+ * with trace paths resolved against --trace-dir.
  */
 
 #ifndef LTP_SERVE_SERVER_HH

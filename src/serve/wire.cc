@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "sim/report.hh"
 
 namespace ltp {
 
@@ -199,12 +200,16 @@ bool
 LineConn::readLine(std::string &out)
 {
     for (;;) {
-        auto nl = buf_.find('\n');
+        // Only the bytes received since the last scan can hold the
+        // newline: rescanning from 0 would be quadratic in frame size.
+        auto nl = buf_.find('\n', scanned_);
         if (nl != std::string::npos) {
             out.assign(buf_, 0, nl);
             buf_.erase(0, nl + 1);
+            scanned_ = 0;
             return true;
         }
+        scanned_ = buf_.size();
         char chunk[4096];
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n <= 0)
@@ -242,6 +247,146 @@ LineConn::shutdown()
 {
     if (fd_ >= 0)
         ::shutdown(fd_, SHUT_RDWR);
+}
+
+JsonValue
+jsonStr(const std::string &s)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::String;
+    v.str = s;
+    return v;
+}
+
+JsonValue
+jsonU64(std::uint64_t n)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Number;
+    v.num = double(n);
+    v.str = std::to_string(n);
+    return v;
+}
+
+JsonValue
+jsonBool(bool b)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Bool;
+    v.boolean = b;
+    return v;
+}
+
+JsonValue
+jsonDouble(double d)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Number;
+    v.num = d;
+    v.str = jsonNum(d);
+    return v;
+}
+
+JsonValue
+objectFrame(const std::string &type)
+{
+    JsonValue frame;
+    frame.kind = JsonValue::Kind::Object;
+    frame.object["type"] = jsonStr(type);
+    return frame;
+}
+
+JsonValue
+objectFrame(std::uint64_t id, const std::string &type)
+{
+    JsonValue frame = objectFrame(type);
+    frame.object["id"] = jsonU64(id);
+    return frame;
+}
+
+JsonValue
+progressFrame(std::uint64_t done, std::uint64_t total, std::uint64_t hits)
+{
+    JsonValue prog = objectFrame("progress");
+    prog.object["done"] = jsonU64(done);
+    prog.object["total"] = jsonU64(total);
+    prog.object["hits"] = jsonU64(hits);
+    return prog;
+}
+
+JsonValue
+errorFrame(std::uint64_t id, const std::string &message)
+{
+    JsonValue frame = objectFrame(id, "error");
+    frame.object["message"] = jsonStr(message);
+    return frame;
+}
+
+std::uint64_t
+frameU64(const JsonValue &obj, const std::string &key)
+{
+    auto it = obj.object.find(key);
+    if (it == obj.object.end() || !it->second.isNumber())
+        throw std::runtime_error("frame missing numeric '" + key + "'");
+    std::uint64_t out = 0;
+    if (!u64FromLexeme(it->second.str, &out))
+        throw std::runtime_error("frame field '" + key +
+                                 "' is not an exact u64: " +
+                                 it->second.str);
+    return out;
+}
+
+std::string
+frameStr(const JsonValue &obj, const std::string &key)
+{
+    auto it = obj.object.find(key);
+    if (it == obj.object.end() || !it->second.isString())
+        throw std::runtime_error("frame missing string '" + key + "'");
+    return it->second.str;
+}
+
+const JsonValue &
+frameObject(const JsonValue &obj, const std::string &key)
+{
+    auto it = obj.object.find(key);
+    if (it == obj.object.end() || !it->second.isObject())
+        throw std::runtime_error("frame missing object '" + key + "'");
+    return it->second;
+}
+
+Metrics
+frameMetrics(const JsonValue &obj, const std::string &key)
+{
+    return metricsFromJson(writeJsonCompact(frameObject(obj, key)));
+}
+
+JsonValue
+metricsJson(const Metrics &m)
+{
+    return parseJson(metricsToJson(m));
+}
+
+JsonValue
+lengthsJson(const RunLengths &lengths)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Object;
+    v.object["funcWarm"] = jsonU64(lengths.funcWarm);
+    v.object["pipeWarm"] = jsonU64(lengths.pipeWarm);
+    v.object["detail"] = jsonU64(lengths.detail);
+    return v;
+}
+
+JsonValue
+samplingJson(const SamplePlan &plan)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Object;
+    v.object["fastForward"] = jsonU64(plan.fastForward);
+    v.object["warmup"] = jsonU64(plan.warmup);
+    v.object["detail"] = jsonU64(plan.detail);
+    v.object["samples"] = jsonU64(std::uint64_t(plan.samples));
+    return v;
 }
 
 } // namespace ltp

@@ -16,17 +16,25 @@
  *                  workers finishing out of order) interleave whole
  *                  frames, never bytes.
  *
- * The frame schema itself lives in server.cc/client.cc; see the
- * "serve wire protocol" section of README.md.
+ * Below the transport sits the one frame codec both ends share:
+ * builders for the JSON values a frame carries, checked readers that
+ * name the missing or mistyped field, and the writers for the
+ * `lengths`/`sampling` objects (read back by scenario.hh's
+ * parseLengths/parseSampling).  Which frames exist is documented in
+ * server.hh and the "serve wire protocol" section of README.md.
  */
 
 #ifndef LTP_SERVE_WIRE_HH
 #define LTP_SERVE_WIRE_HH
 
+#include <cstdint>
 #include <mutex>
 #include <string>
 
 #include "common/json.hh"
+#include "sample/sample_plan.hh"
+#include "sim/metrics.hh"
+#include "sim/simulator.hh"
 
 namespace ltp {
 
@@ -99,8 +107,42 @@ class LineConn
   private:
     int fd_;
     std::string buf_;        ///< bytes received past the last line
+    std::size_t scanned_ = 0; ///< prefix of buf_ known to hold no '\n'
     std::mutex writeMutex_;
 };
+
+/// @name Frame codec
+/// @{
+
+JsonValue jsonStr(const std::string &s);
+/** Exact integer (lexeme kept, so u64FromLexeme round-trips). */
+JsonValue jsonU64(std::uint64_t n);
+JsonValue jsonBool(bool b);
+JsonValue jsonDouble(double v);
+
+/** `{"type":<type>}` — a request before call() stamps its id. */
+JsonValue objectFrame(const std::string &type);
+/** `{"id":<id>,"type":<type>}` — a reply. */
+JsonValue objectFrame(std::uint64_t id, const std::string &type);
+JsonValue errorFrame(std::uint64_t id, const std::string &message);
+/** The id-less `{"type":"progress","done","total","hits"}` push. */
+JsonValue progressFrame(std::uint64_t done, std::uint64_t total,
+                        std::uint64_t hits);
+
+/** Field readers; each throws std::runtime_error naming @p key when
+ *  it is absent or of the wrong kind. */
+std::uint64_t frameU64(const JsonValue &obj, const std::string &key);
+std::string frameStr(const JsonValue &obj, const std::string &key);
+const JsonValue &frameObject(const JsonValue &obj, const std::string &key);
+Metrics frameMetrics(const JsonValue &obj, const std::string &key);
+
+JsonValue metricsJson(const Metrics &m);
+/** `{"funcWarm":F,"pipeWarm":P,"detail":D}` */
+JsonValue lengthsJson(const RunLengths &lengths);
+/** `{"fastForward":F,"warmup":W,"detail":D,"samples":N}` */
+JsonValue samplingJson(const SamplePlan &plan);
+
+/// @}
 
 } // namespace ltp
 

@@ -5,8 +5,6 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "sample/sampler.hh"
-
 namespace ltp {
 
 double
@@ -33,6 +31,7 @@ WorkerPool::WorkerPool(const std::vector<std::string> &specs,
         std::string host = "127.0.0.1";
         int port = kDefaultServePort;
         auto w = std::make_unique<Worker>();
+        w->capacity = 1;
         try {
             parseHostPort(spec, &host, &port);
             w->address = host + ":" + std::to_string(port);
@@ -62,13 +61,6 @@ WorkerPool::upCountLocked() const
     for (const auto &w : workers_)
         n += w->up ? 1 : 0;
     return n;
-}
-
-std::size_t
-WorkerPool::upCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return upCountLocked();
 }
 
 void
@@ -135,25 +127,21 @@ WorkerPool::markDown(Worker *w, const std::string &why)
     cv_.notify_all();
 }
 
-Metrics
+CellResult
 WorkerPool::runCell(const CellKey &key, const SimConfig &cfg,
                     const std::string &workload,
-                    const RunLengths &lengths, const SamplePlan &sampling,
-                    bool *remoteHit)
+                    const RunLengths &lengths, const SamplePlan &sampling)
 {
+    CellResult peer{Metrics{}, true};
+    if (!key.empty() && peerLookup(key, &peer.metrics))
+        return peer;
+
     double cost = cellCost(cfg, lengths, sampling);
-    int attempt = 0;
-    for (;;) {
+    for (int attempt = 0;; ++attempt) {
         Worker *w = acquireSlot(cost);
-        if (!w) {
-            // Every worker is down: compute in-process so the sweep
-            // still completes (bit-identically — the simulation is a
-            // pure function of its inputs wherever it runs).
-            *remoteHit = false;
-            return sampling.enabled()
-                       ? Sampler::runOnce(cfg, workload, sampling)
-                       : Simulator::runOnce(cfg, workload, lengths);
-        }
+        if (!w)
+            return LocalBackend::instance()->runCell(key, cfg, workload,
+                                                     lengths, sampling);
         {
             std::lock_guard<std::mutex> lock(mutex_);
             w->dispatched += 1;
@@ -168,8 +156,7 @@ WorkerPool::runCell(const CellKey &key, const SimConfig &cfg,
                 w->completed += 1;
             }
             releaseSlot(w);
-            *remoteHit = r.cacheHit;
-            return r.metrics;
+            return r;
         } catch (const std::exception &e) {
             std::string msg = e.what();
             {
@@ -185,7 +172,6 @@ WorkerPool::runCell(const CellKey &key, const SimConfig &cfg,
             // Transport failure: the worker is gone or hung.  Mark it
             // down and re-dispatch this cell to whoever is left.
             markDown(w, msg);
-            attempt += 1;
         }
     }
 }
@@ -224,18 +210,8 @@ WorkerPool::stats() const
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<WorkerStats> out;
     out.reserve(workers_.size());
-    for (const auto &w : workers_) {
-        WorkerStats s;
-        s.address = w->address;
-        s.capacity = w->capacity;
-        s.up = w->up;
-        s.dispatched = w->dispatched;
-        s.completed = w->completed;
-        s.retried = w->retried;
-        s.failed = w->failed;
-        s.peerHits = w->peerHits;
-        out.push_back(s);
-    }
+    for (const auto &w : workers_)
+        out.push_back(*w);
     return out;
 }
 

@@ -1,29 +1,27 @@
 /**
  * @file
- * Worker fan-out for the serve daemon: persistent client connections to
- * N remote `ltp serve` daemons plus a cost-aware dispatcher, turning
- * one frontend daemon into a scheduler over a pool of machines.
+ * Worker fan-out for the serve daemon: persistent connections to N
+ * remote `ltp serve` daemons behind one ExecBackend — the compute
+ * layer of a frontend's cell chain (dedupe → cache → WorkerPool, see
+ * server.hh).  runCell() answers from, in order:
  *
- * Dispatch is LPT (longest-processing-time) list scheduling: callers
- * block in runCell() while their cell waits in a queue ordered by
- * estimated cost (config class × detailed instructions × SMT width,
- * see cellCost); whenever a worker slot frees, the *longest* queued
- * cell is assigned to the worker with the most free capacity.  LTP
- * configs simulate ~2× slower than baseline (BENCH_simspeed.json), so
- * longest-first placement keeps the makespan near the LPT bound
- * instead of letting a late heavyweight cell serialize the tail.
+ *  1. a cache peer: the up workers' caches, probed with `lookup`
+ *     frames, so a cell any worker ever computed is never re-simulated
+ *     (the CachedBackend above stores the answer back);
+ *  2. LPT (longest-processing-time) dispatch: the caller blocks while
+ *     its cell waits in a queue ordered by estimated cost (cellCost);
+ *     whenever a slot frees, the *longest* queued cell goes to the
+ *     worker with the most free capacity.  LTP configs simulate ~2×
+ *     slower (BENCH_simspeed.json), so longest-first keeps the
+ *     makespan near the LPT bound instead of letting a late
+ *     heavyweight cell serialize the tail;
+ *  3. LocalBackend::instance() once every worker is down, so the sweep
+ *     still completes, bit-identically.
  *
- * Failure model: a transport error (worker died, hung, unreachable)
- * marks the worker down and re-dispatches the cell to another worker;
- * a `serve error:` reply is the cell's own fault (unknown workload,
- * bad config) and propagates without retry.  When every worker is
- * down, runCell() computes the cell in-process so the sweep still
- * completes.  Downed workers stay down — reconnecting is the
- * operator's job (restart the frontend).
- *
- * Each worker also acts as a cache peer: peerLookup() probes the
- * up workers' result caches via the `lookup` frame, so a cell any
- * worker has ever computed is never re-simulated by the pool.
+ * A transport error (worker died, hung, unreachable) marks the worker
+ * down and re-dispatches the cell; a `serve error:` reply is the
+ * cell's own fault and propagates without retry.  Downed workers stay
+ * down — reconnecting is the operator's job (restart the frontend).
  */
 
 #ifndef LTP_SERVE_WORKER_POOL_HH
@@ -64,7 +62,7 @@ double cellCost(const SimConfig &cfg, const RunLengths &lengths,
                 const SamplePlan &sampling);
 
 /** Persistent connections to N worker daemons + the LPT dispatcher. */
-class WorkerPool
+class WorkerPool : public ExecBackend
 {
   public:
     /**
@@ -76,48 +74,37 @@ class WorkerPool
                         const ServeClientOptions &opts = {},
                         bool quiet = false);
 
+    std::string name() const override { return "workers"; }
+
+    /** Keys address the peer caches and ride along to the workers. */
+    bool wantsKey() const override { return true; }
+
     std::size_t workerCount() const { return workers_.size(); }
 
     /** Sum of worker capacities (fixed after construction). */
     int totalCapacity() const { return totalCapacity_; }
 
-    /** Workers not yet marked down. */
-    std::size_t upCount() const;
-
     /**
-     * Run one cell on a worker: wait for a slot (LPT order), dispatch,
-     * and on transport failure mark the worker down and re-dispatch
-     * elsewhere.  Falls back to an in-process simulation when every
-     * worker is down.  @p remoteHit reports whether the answer came
-     * from a worker's cache (or dedupe) rather than a fresh compute.
+     * Peer lookup, then LPT dispatch (re-dispatching on transport
+     * failure), then in-process compute once every worker is down.
+     * cacheHit reports an answer from a worker's cache or dedupe.
      * Thread-safe; blocking.
      * @throws std::runtime_error for workload errors (never retried).
      */
-    Metrics runCell(const CellKey &key, const SimConfig &cfg,
-                    const std::string &workload,
-                    const RunLengths &lengths, const SamplePlan &sampling,
-                    bool *remoteHit);
-
-    /** Probe the up workers' caches for @p key (no compute anywhere).
-     *  @return true and fill @p out on the first hit. */
-    bool peerLookup(const CellKey &key, Metrics *out);
+    CellResult runCell(const CellKey &key, const SimConfig &cfg,
+                       const std::string &workload,
+                       const RunLengths &lengths,
+                       const SamplePlan &sampling) override;
 
     std::vector<WorkerStats> stats() const;
 
   private:
-    struct Worker
+    /** A worker's connection plus its counters; the counters, `up`
+     *  and `inflight` are guarded by the pool mutex. */
+    struct Worker : WorkerStats
     {
-        std::string address;
         std::unique_ptr<ServeBackend> client;
-        int capacity = 1;
-        // All mutable state below is guarded by the pool mutex.
         int inflight = 0;
-        bool up = true;
-        std::uint64_t dispatched = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t retried = 0;
-        std::uint64_t failed = 0;
-        std::uint64_t peerHits = 0;
     };
 
     /** Queue position: highest cost first, FIFO within equal cost. */
@@ -139,6 +126,9 @@ class WorkerPool
         Worker *assigned = nullptr;
     };
 
+    /** Probe the up workers' caches for @p key (no compute anywhere).
+     *  @return true and fill @p out on the first hit. */
+    bool peerLookup(const CellKey &key, Metrics *out);
     /** Block until a slot is granted (LPT order) or every worker is
      *  down (returns nullptr: caller computes locally). */
     Worker *acquireSlot(double cost);

@@ -192,6 +192,8 @@ checkKernels(std::vector<std::string> &names, const std::string &where,
     }
 }
 
+} // namespace
+
 RunLengths
 parseLengths(const JsonValue &v, const std::string &where)
 {
@@ -219,7 +221,6 @@ parseLengths(const JsonValue &v, const std::string &where)
     return out;
 }
 
-/** The `sampling` block: interval-sampling plan for every cell. */
 SamplePlan
 parseSampling(const JsonValue &v, const std::string &where)
 {
@@ -247,6 +248,8 @@ parseSampling(const JsonValue &v, const std::string &where)
         bad(where + ".detail must be positive");
     return out;
 }
+
+namespace {
 
 void
 parseWorkloads(Scenario &sc, const JsonValue &v,

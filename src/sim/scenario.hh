@@ -191,6 +191,21 @@ struct Scenario
 };
 
 /**
+ * The `lengths` value of a scenario file or `run` frame: a preset name
+ * (default | quick | bench) or an object whose absent fields keep the
+ * defaults.  @p where prefixes error paths ("lengths.detail").
+ * @throws std::runtime_error naming the offending path.
+ */
+RunLengths parseLengths(const JsonValue &v, const std::string &where);
+
+/**
+ * The `sampling` value: "default" or an object whose absent fields
+ * keep SamplePlan::defaults(); samples and detail must be positive.
+ * @throws std::runtime_error naming the offending path.
+ */
+SamplePlan parseSampling(const JsonValue &v, const std::string &where);
+
+/**
  * Parse and validate scenario JSON.  Relative `.lttr` trace paths are
  * resolved against @p baseDir (empty = the working directory) and the
  * files validated (header/CRC) eagerly.

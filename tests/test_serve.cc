@@ -286,6 +286,33 @@ TEST(ServeClientRobustnessTest, UnreachableDaemonFailsAfterBoundedRetry)
     }
 }
 
+TEST(LineConnTest, MultiMegabyteLineThenShortLineArriveIntact)
+{
+    // A whole-scenario frame can run to megabytes; readLine must hand
+    // it back intact (and without rescanning its buffer per recv), and
+    // the short line behind it must not be lost or merged.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    LineConn reader(fds[0]);
+    LineConn writer(fds[1]);
+
+    std::string big(4u << 20, 'x');
+    for (std::size_t i = 0; i < big.size(); i += 4093)
+        big[i] = char('a' + i % 26);
+    std::thread sender([&writer, &big]() {
+        EXPECT_TRUE(writer.writeLine(big));
+        EXPECT_TRUE(writer.writeLine("short"));
+    });
+
+    std::string line;
+    ASSERT_TRUE(reader.readLine(line));
+    EXPECT_EQ(line.size(), big.size());
+    EXPECT_TRUE(line == big);
+    ASSERT_TRUE(reader.readLine(line));
+    EXPECT_EQ(line, "short");
+    sender.join();
+}
+
 TEST_F(ServeTest, ProgressTrafficKeepsASlowRequestAlive)
 {
     // The timeout measures *silence*, not latency: a cell that takes

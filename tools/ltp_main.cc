@@ -175,6 +175,23 @@ presetConfig(const std::string &preset, const Cli &cli)
           preset.c_str());
 }
 
+/** The `ltp serve` client --server/--server-timeout select; @p port
+ *  is the default when --server names none.  fatal on failure. */
+std::shared_ptr<ServeBackend>
+serveClient(const Cli &cli, int port = kDefaultServePort)
+{
+    std::string host = "127.0.0.1";
+    try {
+        parseHostPort(cli.str("server", ""), &host, &port);
+        ServeClientOptions topts;
+        topts.replyTimeoutMs =
+            int(cli.integer("server-timeout", topts.replyTimeoutMs));
+        return std::make_shared<ServeBackend>(host, port, topts);
+    } catch (const std::exception &e) {
+        fatal("%s", e.what());
+    }
+}
+
 /**
  * The execution backend the shared flags select: an `ltp serve` client
  * (--backend=serve / --server=...), the cache-wrapped local backend
@@ -187,19 +204,8 @@ makeBackend(const Cli &cli)
 {
     std::string kind =
         cli.str("backend", cli.has("server") ? "serve" : "local");
-    if (kind == "serve") {
-        std::string host = "127.0.0.1";
-        int port = kDefaultServePort;
-        try {
-            parseHostPort(cli.str("server", ""), &host, &port);
-            ServeClientOptions topts;
-            topts.replyTimeoutMs = int(cli.integer(
-                "server-timeout", topts.replyTimeoutMs));
-            return std::make_shared<ServeBackend>(host, port, topts);
-        } catch (const std::exception &e) {
-            fatal("%s", e.what());
-        }
-    }
+    if (kind == "serve")
+        return serveClient(cli);
     if (kind != "local")
         fatal("unknown --backend '%s' (expected local|serve)",
               kind.c_str());
@@ -209,6 +215,19 @@ makeBackend(const Cli &cli)
         return std::make_shared<CachedBackend>(
             LocalBackend::instance(),
             std::make_shared<ResultCache>(cli.str("cache-dir", "")));
+    } catch (const std::exception &e) {
+        fatal("%s", e.what());
+    }
+}
+
+/** Runner::run, dying through fatal on a failed cell (a served cell's
+ *  `serve error:` reply, a lost daemon) instead of aborting. */
+SweepResult
+runSweep(Runner &&runner, const SweepSpec &spec,
+         ProgressFn progress = nullptr)
+{
+    try {
+        return runner.run(spec, std::move(progress));
     } catch (const std::exception &e) {
         fatal("%s", e.what());
     }
@@ -294,6 +313,31 @@ printClaims(const std::vector<ScenarioClaim> &claims,
     t.print("claims");
 }
 
+/** The --progress stderr heartbeat of sample and sweep: cells done /
+ *  total, cache hits when a caching backend is in play, and the live
+ *  sampling phase label under a sampled plan. */
+ProgressFn
+progressFn(const Cli &cli, const std::string &name, bool caching)
+{
+    if (!cli.flag("progress"))
+        return {};
+    auto start = std::chrono::steady_clock::now();
+    return [start, name, caching](const Progress &p) {
+        double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+        std::string hits = caching ? strprintf(", %zu hits", p.hits) : "";
+        std::string phase =
+            p.phase.empty() ? "" : " [" + p.phase + "]";
+        // The trailing spaces wipe a longer previous phase label.
+        std::fprintf(stderr,
+                     "\r%s: %zu/%zu cells%s, %.1fs elapsed%s      %s",
+                     name.c_str(), p.done, p.total, hits.c_str(), secs,
+                     phase.c_str(), p.done == p.total ? "\n" : "");
+        std::fflush(stderr);
+    };
+}
+
 SamplePlan samplePlanFromCli(const Cli &cli, SamplePlan base);
 std::string readFileText(const std::string &path);
 
@@ -345,8 +389,8 @@ cmdRun(const Cli &cli)
         spec.add(k, cfg.name, cfg, k);
 
     SweepResult result =
-        Runner(int(cli.integer("threads", 0)), makeBackend(cli))
-            .run(spec);
+        runSweep(Runner(int(cli.integer("threads", 0)), makeBackend(cli)),
+                 spec);
 
     Table t({"kernel", "IPC", "CPI", "cycles", "parked", "LTP occ"});
     for (const std::string &k : kernels) {
@@ -388,114 +432,43 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
     if (!root.isObject())
         fatal("%s: scenario root is not an object", path.c_str());
 
-    auto jnum = [](std::uint64_t n) {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.num = double(n);
-        v.str = std::to_string(n);
-        return v;
-    };
-    auto u64In = [](const JsonValue &obj, const char *key,
-                    std::uint64_t dflt) {
-        auto it = obj.object.find(key);
-        std::uint64_t out = dflt;
-        if (it != obj.object.end() && it->second.isNumber())
-            u64FromLexeme(it->second.str, &out);
-        return out;
-    };
-
-    if (cli.has("seed"))
-        root.object["seed"] = jnum(cli.integer("seed", 1));
-
-    if (cli.has("warm") || cli.has("pipewarm") || cli.has("detail")) {
-        // Re-derive the file's staging base the way scenarioFromJson
-        // does (preset name or partial object), layer the flags, and
-        // write the full object back.
-        RunLengths base;
-        auto it = root.object.find("lengths");
-        if (it != root.object.end()) {
-            const JsonValue &l = it->second;
-            if (l.isString() && l.str == "quick")
-                base = RunLengths::quick();
-            else if (l.isString() && l.str == "bench")
-                base = RunLengths::bench();
-            else if (l.isObject()) {
-                base.funcWarm = u64In(l, "funcWarm", base.funcWarm);
-                base.pipeWarm = u64In(l, "pipeWarm", base.pipeWarm);
-                base.detail = u64In(l, "detail", base.detail);
-            }
-        }
-        RunLengths lengths = stagingLengths(cli, base);
-        JsonValue l;
-        l.kind = JsonValue::Kind::Object;
-        l.object["funcWarm"] = jnum(lengths.funcWarm);
-        l.object["pipeWarm"] = jnum(lengths.pipeWarm);
-        l.object["detail"] = jnum(lengths.detail);
-        root.object["lengths"] = std::move(l);
-    }
-
-    if (cli.has("samples") || cli.has("sample-ff") ||
-        cli.has("sample-warmup") || cli.has("sample-detail")) {
-        SamplePlan base;
-        auto it = root.object.find("sampling");
-        if (it != root.object.end()) {
-            const JsonValue &sp = it->second;
-            if ((sp.isString() && sp.str == "default") ||
-                sp.isObject())
-                base = SamplePlan::defaults();
-            if (sp.isObject()) {
-                base.fastForward =
-                    u64In(sp, "fastForward", base.fastForward);
-                base.warmup = u64In(sp, "warmup", base.warmup);
-                base.detail = u64In(sp, "detail", base.detail);
-                base.samples = int(u64In(
-                    sp, "samples", std::uint64_t(base.samples)));
-            }
-        }
-        SamplePlan plan = samplePlanFromCli(cli, base);
-        JsonValue sp;
-        sp.kind = JsonValue::Kind::Object;
-        sp.object["fastForward"] = jnum(plan.fastForward);
-        sp.object["warmup"] = jnum(plan.warmup);
-        sp.object["detail"] = jnum(plan.detail);
-        sp.object["samples"] = jnum(std::uint64_t(plan.samples));
-        root.object["sampling"] = std::move(sp);
-    }
-
-    std::string host = "127.0.0.1";
-    int port = kDefaultServePort;
+    // The staging/sampling flags layer onto the file's own values,
+    // read by the same parsers scenarioFromJson uses.
     try {
-        parseHostPort(cli.str("server", ""), &host, &port);
-        ServeClientOptions topts;
-        topts.replyTimeoutMs =
-            int(cli.integer("server-timeout", topts.replyTimeoutMs));
-        ServeBackend client(host, port, topts);
-        if (cli.flag("progress")) {
-            // The daemon streams progress during the run; render it as
-            // the same heartbeat a local --progress sweep prints.
-            auto start = std::chrono::steady_clock::now();
-            client.setProgressHandler(
-                [start](std::uint64_t done, std::uint64_t total,
-                        std::uint64_t hits) {
-                    double secs =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-                    std::fprintf(
-                        stderr,
-                        "\r%llu/%llu cells, %llu hits, %.1fs elapsed   ",
-                        static_cast<unsigned long long>(done),
-                        static_cast<unsigned long long>(total),
-                        static_cast<unsigned long long>(hits), secs);
-                    std::fflush(stderr);
-                });
+        if (cli.has("seed"))
+            root.object["seed"] = jsonU64(cli.integer("seed", 1));
+        if (cli.has("warm") || cli.has("pipewarm") ||
+            cli.has("detail")) {
+            auto it = root.object.find("lengths");
+            RunLengths base = it == root.object.end()
+                                  ? RunLengths{}
+                                  : parseLengths(it->second, "lengths");
+            root.object["lengths"] =
+                lengthsJson(stagingLengths(cli, base));
         }
-        SweepResult result = client.submitScenario(root);
-        if (cli.flag("progress"))
-            std::fprintf(stderr, "\n");
-        std::printf("scenario %s: ran on %s:%d (%zu simulations, %d "
+        if (cli.has("samples") || cli.has("sample-ff") ||
+            cli.has("sample-warmup") || cli.has("sample-detail")) {
+            auto it = root.object.find("sampling");
+            SamplePlan base =
+                it == root.object.end()
+                    ? SamplePlan{}
+                    : parseSampling(it->second, "sampling");
+            root.object["sampling"] =
+                samplingJson(samplePlanFromCli(cli, base));
+        }
+    } catch (const std::runtime_error &e) {
+        fatal("%s: %s", path.c_str(), e.what());
+    }
+
+    std::shared_ptr<ServeBackend> client = serveClient(cli);
+    try {
+        // The daemon streams progress during the run; render it as
+        // the same heartbeat a local --progress sweep prints.
+        client->setProgressHandler(progressFn(cli, path, true));
+        SweepResult result = client->submitScenario(root);
+        std::printf("scenario %s: ran on %s (%zu simulations, %d "
                     "daemon threads)\n",
-                    result.name.c_str(), host.c_str(), port,
+                    result.name.c_str(), client->address().c_str(),
                     result.simulations, result.threads);
         printGrid(result);
         // The daemon compiled the scenario; its claims are checked here
@@ -563,32 +536,9 @@ cmdSweep(const std::string &path, const Cli &cli)
                                 spec.sampling.toString().c_str())
                           .c_str()
                     : "");
-    ProgressFn progress;
-    bool caching = backend && backend->wantsKey();
-    if (cli.flag("progress")) {
-        // Heartbeat for long runs (serial and sharded alike): cells
-        // done / total, cache hits when a caching backend is in play,
-        // and the live sampling phase label under a sampled plan.
-        auto start = std::chrono::steady_clock::now();
-        std::string name = spec.name;
-        progress = [start, name, caching](const Progress &p) {
-            double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-            std::string hits =
-                caching ? strprintf(", %zu hits", p.hits) : "";
-            std::string phase =
-                p.phase.empty() ? "" : " [" + p.phase + "]";
-            // Trailing spaces wipe a longer previous phase label.
-            std::fprintf(stderr,
-                         "\r%s: %zu/%zu cells%s, %.1fs elapsed%s      %s",
-                         name.c_str(), p.done, p.total, hits.c_str(),
-                         secs, phase.c_str(),
-                         p.done == p.total ? "\n" : "");
-            std::fflush(stderr);
-        };
-    }
-    SweepResult result = Runner(threads, backend).run(spec, progress);
+    SweepResult result =
+        runSweep(Runner(threads, backend), spec,
+                 progressFn(cli, spec.name, backend && backend->wantsKey()));
     printGrid(result);
     printClaims(scenario.claims, result.grid);
     printBackendSummary(result);
@@ -1073,29 +1023,6 @@ samplePlanFromCli(const Cli &cli, SamplePlan base)
     return base;
 }
 
-/** Phase-labelled stderr heartbeat shared by sample and sweep. */
-ProgressFn
-sampleProgressFn(const Cli &cli, const std::string &name, bool caching)
-{
-    if (!cli.flag("progress"))
-        return {};
-    auto start = std::chrono::steady_clock::now();
-    return [start, name, caching](const Progress &p) {
-        double secs = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-        std::string hits = caching ? strprintf(", %zu hits", p.hits) : "";
-        std::string phase =
-            p.phase.empty() ? "" : " [" + p.phase + "]";
-        // The trailing spaces wipe a longer previous phase label.
-        std::fprintf(stderr,
-                     "\r%s: %zu/%zu cells%s, %.1fs elapsed%s      %s",
-                     name.c_str(), p.done, p.total, hits.c_str(), secs,
-                     phase.c_str(), p.done == p.total ? "\n" : "");
-        std::fflush(stderr);
-    };
-}
-
 std::string
 readFileText(const std::string &path)
 {
@@ -1278,9 +1205,8 @@ cmdSample(const std::string &positional, const Cli &cli)
             spec.add(k, cfg.name, cfg, k);
         ExecBackendPtr backend = makeBackend(cli);
         bool caching = backend && backend->wantsKey();
-        result = Runner(int(cli.integer("threads", 0)), backend)
-                     .run(spec, sampleProgressFn(cli, spec.name,
-                                                 caching));
+        result = runSweep(Runner(int(cli.integer("threads", 0)), backend),
+                          spec, progressFn(cli, spec.name, caching));
     }
 
     Table t({"kernel", "samples", "mean IPC", "±95% CI", "stddev",
@@ -1443,16 +1369,11 @@ cmdServe(const std::string &action, const Cli &cli)
             fatal("unknown serve action '%s' (expected ping|stats|stop "
                   "or no action to run the daemon)",
                   action.c_str());
-        std::string host = "127.0.0.1";
-        int port = int(cli.integer("port", kDefaultServePort));
+        std::shared_ptr<ServeBackend> client =
+            serveClient(cli, int(cli.integer("port", kDefaultServePort)));
         try {
-            parseHostPort(cli.str("server", ""), &host, &port);
-            ServeClientOptions topts;
-            topts.replyTimeoutMs = int(cli.integer(
-                "server-timeout", topts.replyTimeoutMs));
-            ServeBackend client(host, port, topts);
             JsonValue reply =
-                client.rpc(action == "stop" ? "shutdown" : action);
+                client->rpc(action == "stop" ? "shutdown" : action);
             reply.object.erase("id");
             // The per-worker counters read better as a table; keep the
             // machine-readable JSON to the scalar fields.
