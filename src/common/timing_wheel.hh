@@ -22,6 +22,7 @@
 #ifndef LTP_COMMON_TIMING_WHEEL_HH
 #define LTP_COMMON_TIMING_WHEEL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -48,7 +49,9 @@ class TimingWheel
     /**
      * Advance to cycle @p now (monotone), invoking @p fn on every
      * event that comes due.  Same-cycle events fire in insertion
-     * order.
+     * order.  Spans with nothing due are jumped, not walked slot by
+     * slot: an empty wheel jumps straight to @p now, and an empty
+     * level 0 jumps to the next level-1 epoch boundary.
      */
     template <typename Fn>
     void
@@ -56,16 +59,60 @@ class TimingWheel
     {
         sim_assert(now >= now_);
         while (now_ < now) {
+            if (size_ == 0) {
+                now_ = now;
+                return;
+            }
+            if (l0_size_ == 0) {
+                now_ = std::min(now, now_ | kMask);
+                if (now_ == now)
+                    return;
+            }
             now_ += 1;
             if ((now_ & kMask) == 0)
                 cascade();
             auto &slot = l0_[now_ & kMask];
             for (Entry &e : slot) {
                 size_ -= 1;
+                l0_size_ -= 1;
                 fn(e.ev);
             }
             slot.clear();
         }
+    }
+
+    /**
+     * The cycle the earliest pending event fires at, or kCycleNever
+     * when none is pending.  Exact: level 0 only holds cycles in
+     * (now, now + 256), so its first non-empty slot is its minimum,
+     * but a level-1 entry of the next epoch can fire before level-0
+     * entries that spill into that epoch, so the first non-empty
+     * level-1 slot and the overflow list are folded in too.
+     */
+    Cycle
+    nextEventCycle() const
+    {
+        if (size_ == 0)
+            return kCycleNever;
+        Cycle next = kCycleNever;
+        for (Cycle c = now_ + 1; l0_size_ > 0 && c < now_ + kSlots; ++c) {
+            if (!l0_[c & kMask].empty()) {
+                next = c;
+                break;
+            }
+        }
+        Cycle epoch = now_ >> 8;
+        for (Cycle e = epoch + 1; e < epoch + kSlots && (e << 8) < next;
+             ++e) {
+            const auto &slot = l1_[e & kMask];
+            for (const Entry &x : slot)
+                next = std::min(next, x.when);
+            if (!slot.empty())
+                break;
+        }
+        for (const Entry &x : overflow_)
+            next = std::min(next, x.when);
+        return next;
     }
 
     bool empty() const { return size_ == 0; }
@@ -89,9 +136,10 @@ class TimingWheel
         // Level 1 holds strictly *future* epochs only: an event a full
         // revolution ahead shares its slot index with the current
         // (already-cascaded) epoch and would fire a revolution late.
-        if (when - now_ < kSlots)
+        if (when - now_ < kSlots) {
             l0_[when & kMask].push_back(Entry{when, ev});
-        else if ((when >> 8) - (now_ >> 8) < kSlots)
+            l0_size_ += 1;
+        } else if ((when >> 8) - (now_ >> 8) < kSlots)
             l1_[(when >> 8) & kMask].push_back(Entry{when, ev});
         else
             overflow_.push_back(Entry{when, ev});
@@ -105,6 +153,7 @@ class TimingWheel
         auto &slot = l1_[(now_ >> 8) & kMask];
         for (const Entry &e : slot)
             l0_[e.when & kMask].push_back(e);
+        l0_size_ += slot.size();
         slot.clear();
         if ((now_ & (kHorizon - 1)) == 0 && !overflow_.empty()) {
             std::vector<Entry> spill;
@@ -116,6 +165,7 @@ class TimingWheel
 
     Cycle now_ = 0;
     std::size_t size_ = 0;
+    std::size_t l0_size_ = 0; ///< entries in level 0
     std::vector<Entry> l0_[kSlots];
     std::vector<Entry> l1_[kSlots];
     std::vector<Entry> overflow_;

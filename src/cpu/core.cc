@@ -108,6 +108,7 @@ Core::Core(const CoreConfig &cfg, MemSystem &mem,
             mem.dramLatency()));
     }
     bindOccupancyClocks();
+    registerCounters();
 }
 
 Core::~Core() = default;
@@ -202,6 +203,7 @@ void
 Core::processTicketEvents()
 {
     ticket_events_.advanceTo(now_, [this](const TicketEv &ev) {
+        progress_ = true;
         ThreadContext &t = thread(ev.tid);
         if (t.ticket_epoch[std::size_t(ev.ticket)] != ev.epoch)
             return;
@@ -264,6 +266,7 @@ Core::writeback()
            completions_.top().when <= now_) {
         CompletionEv ev = completions_.top();
         completions_.pop();
+        progress_ = true;
         ThreadContext &t = thread(ev.tid);
         if (!eventInstValid(t, ev.seq, ev.gen))
             continue;
@@ -390,8 +393,10 @@ Core::commit(ThreadContext &t)
 
     // Retirement is a prefix trim, so one call with the youngest
     // committed seq releases the whole group's trace storage.
-    if (last_committed != kSeqNone)
+    if (last_committed != kSeqNone) {
+        progress_ = true;
         t.source->retire(last_committed);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -486,6 +491,7 @@ Core::tryUnpark(ThreadContext &t, DynInst *inst, bool forced)
     inst->earliestIssue = now_ + 1;
     inst->unparkCycle = now_;
     t.stats.unparked++;
+    progress_ = true;
     return true;
 }
 
@@ -839,6 +845,7 @@ Core::renameOne(ThreadContext &t, DynInst *inst)
     inst->dispatched = true;
     inst->renameCycle = now_;
     inst->earliestIssue = now_ + 1;
+    progress_ = true;
     return true;
 }
 
@@ -977,6 +984,7 @@ Core::execute()
     while (!retry_events_.empty() && retry_events_.top().when <= now_) {
         RetryEv ev = retry_events_.top();
         retry_events_.pop();
+        progress_ = true;
         ThreadContext &t = thread(ev.tid);
         if (!eventInstValid(t, ev.seq, ev.gen))
             continue;
@@ -1003,6 +1011,8 @@ Core::execute()
         return budget > 0;
     });
 
+    if (!selected.empty())
+        progress_ = true;
     for (DynInst *inst : selected) {
         ThreadContext &t = threadOf(inst);
         iq_.remove(inst);
@@ -1042,6 +1052,7 @@ Core::drainStores(ThreadContext &t)
         DynInst *st = t.lsq.oldestDrainableStore();
         if (!st)
             break;
+        progress_ = true;
         auto res = mem_.access(st->op.pc + t.mem_base,
                                st->op.effAddr + t.mem_base, true, now_);
         if (!res)
@@ -1064,6 +1075,7 @@ Core::fetchEligible(const ThreadContext &t) const
 void
 Core::fetchThread(ThreadContext &t)
 {
+    progress_ = true;
     int budget = cfg_.fetchWidth;
     while (budget > 0 &&
            static_cast<int>(t.front_queue.size()) < cfg_.fetchQueueCap) {
@@ -1131,6 +1143,7 @@ Core::squashAfter(SeqNum keep, int tid)
 {
     ThreadContext &t = thread(tid);
     t.stats.squashes++;
+    progress_ = true;
 
     t.rob.squashYoungerThan(keep, [&](DynInst *inst) {
         if (inst->hasDst()) {
@@ -1190,7 +1203,7 @@ TickProfile::stageName(int s)
       case Execute: return "execute";
       case DrainStores: return "drainStores";
       case Fetch: return "fetch";
-      case Monitor: return "monitor";
+      case IdleSkip: return "idleSkip";
     }
     return "?";
 }
@@ -1206,6 +1219,7 @@ Core::tick()
     // FU issue counts and LTP port budgets replenish lazily off the
     // advanced cycle stamp — no begin-of-cycle pass at all.
     now_ += 1;
+    progress_ = false;
 
     processTicketEvents();
     writeback();
@@ -1241,6 +1255,7 @@ Core::tickProfiled()
     };
 
     now_ += 1;
+    progress_ = false;
     lap(TickProfile::BeginCycle);
 
     processTicketEvents();
@@ -1262,8 +1277,6 @@ Core::tickProfiled()
     lap(TickProfile::DrainStores);
     fetch();
     lap(TickProfile::Fetch);
-    // Monitor bookkeeping went event-driven (LtpMonitor::settle); the
-    // stage slot stays so archived profiles keep a stable schema.
     p.ticks += 1;
 }
 
@@ -1271,6 +1284,9 @@ namespace {
 
 /** Commit-progress watchdog shared by every run loop. */
 constexpr Cycle kNoProgressWindow = 200000;
+
+/** Window-drain watchdog. */
+constexpr Cycle kDrainWindow = 500000;
 
 [[noreturn]] void
 panicNoProgress(Cycle now, std::uint64_t committed)
@@ -1283,10 +1299,99 @@ panicNoProgress(Cycle now, std::uint64_t committed)
 
 } // namespace
 
+/**
+ * The first cycle after now_ at which a quiescent core could act
+ * differently from this cycle: an event comes due, a front end
+ * unblocks, the LTP monitor times out, or a ready instruction's issue
+ * delay and functional unit both clear.  Only meaningful right after
+ * a tick that made no progress (nothing due was left unpopped, and no
+ * ready instruction could issue).
+ */
+Cycle
+Core::nextEventCycle() const
+{
+    Cycle next = ticket_events_.nextEventCycle();
+    if (!completions_.empty())
+        next = std::min(next, completions_.top().when);
+    if (!retry_events_.empty())
+        next = std::min(next, retry_events_.top().when);
+    for (const auto &tp : threads_) {
+        const ThreadContext &t = *tp;
+        if (t.fetch_enabled && t.fetch_blocked_on == kSeqNone &&
+            static_cast<int>(t.front_queue.size()) < cfg_.fetchQueueCap &&
+            t.fetch_resume_at > now_)
+            next = std::min(next, t.fetch_resume_at);
+        if (!t.front_queue.empty() && t.front_queue.front().readyAt > now_)
+            next = std::min(next, t.front_queue.front().readyAt);
+        if (cfg_.ltp.mode != LtpMode::Off)
+            next = std::min(next, t.monitor.nextChange(now_));
+    }
+    iq_.forEachReady([&](DynInst *inst) {
+        next = std::min(next, std::max(inst->earliestIssue,
+                                       fu_.freeAt(inst->op.opc)));
+        return true;
+    });
+    return next;
+}
+
+/**
+ * Idle-cycle skipping, run by every loop after every tick.  A tick
+ * without progress arms it: the counters are snapshotted, and if the
+ * next tick makes no progress either, that second tick is the steady
+ * state every quiet cycle up to the next event repeats exactly (the
+ * first quiet tick may still settle one-off state, e.g. memoized
+ * classification).  The clock then jumps to one cycle before that
+ * event, never past @p limit, and every counter advances by the span
+ * times the second tick's increment.  Occupancy stats integrate off
+ * now_, and memory is timestamp-driven, so nothing else needs
+ * touching.
+ */
+void
+Core::skipIdle(Cycle limit)
+{
+    if (progress_) {
+        idle_armed_ = false;
+        return;
+    }
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point start;
+    if (profile_)
+        start = Clock::now();
+    if (!idle_armed_) {
+        for (std::size_t i = 0; i < counters_.size(); ++i)
+            counter_snap_[i] = counters_[i]->value();
+        idle_armed_ = true;
+    } else {
+        // A fresh pair of quiet ticks is needed after any jump: the
+        // event that ends it may change state without progress.
+        idle_armed_ = false;
+        Cycle target = std::min(nextEventCycle() - 1, limit);
+        if (target > now_) {
+            Cycle span = target - now_;
+            for (std::size_t i = 0; i < counters_.size(); ++i) {
+                std::uint64_t delta =
+                    counters_[i]->value() - counter_snap_[i];
+                if (delta)
+                    *counters_[i] += delta * span;
+            }
+            now_ = target;
+            skipped_ += span;
+            if (profile_)
+                profile_->skippedTicks += span;
+        }
+    }
+    if (profile_)
+        profile_->ns[TickProfile::IdleSkip] += std::uint64_t(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - start)
+                .count());
+}
+
 void
 Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
                         const TickHook &on_tick)
 {
+    idle_armed_ = false;
     // Single-threaded fast path: one counter, read straight off the
     // context — this is the whole-simulation driver loop, so it must
     // not pay per-thread aggregation (or an indirect hook call) on
@@ -1303,6 +1408,8 @@ Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
             }
             if (now_ - last_progress > kNoProgressWindow)
                 panicNoProgress(now_, last_committed);
+            skipIdle(
+                std::min(max_cycles, last_progress + kNoProgressWindow));
             if (now_ >= max_cycles)
                 break;
         }
@@ -1334,6 +1441,8 @@ Core::runUntilCommitted(std::uint64_t n, Cycle max_cycles,
         }
         if (now_ - last_progress > kNoProgressWindow)
             panicNoProgress(now_, last_committed);
+        skipIdle(
+            std::min(max_cycles, last_progress + kNoProgressWindow));
         if (now_ >= max_cycles)
             break;
     }
@@ -1356,11 +1465,13 @@ Core::drain()
                 return false;
         return true;
     };
+    idle_armed_ = false;
     Cycle start = now_;
     while (!windowEmpty()) {
         tick();
-        if (now_ - start > 500000)
+        if (now_ - start > kDrainWindow)
             panic("drain did not converge");
+        skipIdle(start + kDrainWindow);
     }
     for (auto &t : threads_)
         t->fetch_enabled = true;
@@ -1389,6 +1500,41 @@ Core::bindOccupancyClocks()
     }
     int_regs_.occupancy.bindClock(&now_);
     fp_regs_.occupancy.bindClock(&now_);
+}
+
+/**
+ * Collect every Counter the core owns — per-thread stats and the LTP,
+ * window and front-end structure counters, plus the shared IQ and
+ * register files — for idle-cycle skipping to scale in bulk.
+ */
+static_assert(sizeof(CoreStats) == 28 * sizeof(Counter),
+              "CoreStats::forEachCounter must visit every counter");
+
+void
+Core::registerCounters()
+{
+    auto add = [this](Counter &c) { counters_.push_back(&c); };
+    for (auto &tp : threads_) {
+        ThreadContext &t = *tp;
+        t.stats.forEachCounter(add);
+        for (Counter *c :
+             {&t.ltp.pushes, &t.ltp.pops, &t.ltp.camExtractions,
+              &t.ltp.insertPortStalls, &t.ltp.extractPortStalls,
+              &t.ltp.fullStalls, &t.uit.lookups, &t.uit.hits,
+              &t.uit.inserts, &t.uit.conflictEvictions,
+              &t.llpred.predictions, &t.llpred.correct,
+              &t.llpred.mispredicts, &t.tickets.allocations,
+              &t.tickets.exhaustions, &t.tickets.broadcasts,
+              &t.ltp_rat.allocations, &t.ltp_rat.exhaustions,
+              &t.lsq.forwards, &t.bpred.lookups, &t.bpred.mispredicts})
+            add(*c);
+    }
+    for (Counter *c : {&iq_.inserts, &int_regs_.allocations,
+                       &int_regs_.reserveAllocations,
+                       &fp_regs_.allocations,
+                       &fp_regs_.reserveAllocations})
+        add(*c);
+    counter_snap_.assign(counters_.size(), 0);
 }
 
 void

@@ -193,6 +193,23 @@ struct CoreStats
     Counter commitStallOther;
 
     void reset();
+
+    /** Visit every counter (idle-cycle skipping scales them in bulk). */
+    template <typename Fn>
+    void
+    forEachCounter(Fn &&fn)
+    {
+        for (Counter *c :
+             {&committed, &fetched, &renamed, &parked, &unparked,
+              &forcedUnparks, &pressureUnparks, &boundaryUnparks,
+              &ticketUnparks, &iqIssued, &wbWrites, &rfReads, &rfWrites,
+              &loadsExecuted, &storesExecuted, &squashes, &memViolations,
+              &classUrgent, &classNonReady, &parkSkippedOff,
+              &renameStallRob, &renameStallRegs, &renameStallIq,
+              &renameStallLq, &renameStallSq, &renameStallLtp,
+              &commitStallLoad, &commitStallOther})
+            fn(*c);
+    }
 };
 
 /**
@@ -217,7 +234,9 @@ threadAddrBase(int tid)
  * Per-stage wall-clock attribution of Core::tick, filled in when a
  * profile is attached via Core::setProfiler (the `ltp bench --profile`
  * path).  When no profile is attached the profiled tick variant is
- * never entered, so measurement costs nothing in normal runs.
+ * never entered, so measurement costs nothing in normal runs.  Idle-
+ * cycle skipping stays on while profiling: its bookkeeping is the
+ * IdleSkip stage, and the cycles it jumps are counted, not ticked.
  */
 struct TickProfile
 {
@@ -232,12 +251,13 @@ struct TickProfile
         Execute,
         DrainStores,
         Fetch,
-        Monitor,
+        IdleSkip,
         kNumStages
     };
 
     std::array<std::uint64_t, kNumStages> ns{}; ///< per-stage wall ns
     std::uint64_t ticks = 0;                    ///< ticks attributed
+    std::uint64_t skippedTicks = 0;             ///< cycles jumped
 
     static const char *stageName(int s);
 
@@ -314,18 +334,32 @@ class Core
 
     ~Core();
 
-    /** Advance one cycle. */
+    /** Advance one cycle (never skips: the reference the run loops
+     *  must match bit for bit). */
     void tick();
 
-    /** Hook run after every tick of a multi-thread run loop. */
+    /**
+     * Hook run after every executed tick of a multi-thread run loop.
+     * Cycles the loop jumps are not ticked, so the hook may observe
+     * only state that changes with progress (commit counts, not the
+     * clock).
+     */
     using TickHook = std::function<void()>;
 
     /**
      * Run until every thread has committed @p n instructions (or
      * @p max_cycles).  On a single-threaded core this is the classic
      * "run until n committed".  @p on_tick, if set, runs after every
-     * tick — the Simulator's SMT staging uses it to detect per-thread
-     * quota crossings without a second driver loop.
+     * executed tick — the Simulator's SMT staging uses it to detect
+     * per-thread quota crossings without a second driver loop.
+     *
+     * Quiet stretches are skipped, bit-identically to ticking them:
+     * once two consecutive ticks make no progress (no event fired or
+     * popped; no commit, unpark, rename, issue, store-drain attempt,
+     * fetch attempt or squash), the clock jumps to one cycle before
+     * the next event and every counter advances by the span times the
+     * second tick's increment.  The jump never passes @p max_cycles,
+     * and the no-progress watchdog still panics on the same cycle.
      */
     void runUntilCommitted(std::uint64_t n,
                            Cycle max_cycles = kCycleNever,
@@ -339,7 +373,8 @@ class Core
      */
     void setFetchEnabled(int tid, bool on);
 
-    /** Stop fetching and run until every window is empty (tests). */
+    /** Stop fetching and run until every window is empty (tests).
+     *  Skips quiet stretches exactly as runUntilCommitted does. */
     void drain();
 
     /**
@@ -361,6 +396,8 @@ class Core
     bool srcsReady(const DynInst *inst) const;
 
     Cycle cycle() const { return now_; }
+    /** Cycles jumped by idle-cycle skipping (included in cycle()). */
+    std::uint64_t skippedTicks() const { return skipped_; }
     int numThreads() const { return static_cast<int>(threads_.size()); }
     std::uint64_t committedInsts(int tid = 0) const;
 
@@ -521,6 +558,9 @@ class Core
     void enqueueIq(DynInst *inst, bool emergency);
     void wakeDependents(PhysRegFile &rf, std::int32_t phys);
     void bindOccupancyClocks();
+    void registerCounters();
+    Cycle nextEventCycle() const;
+    void skipIdle(Cycle limit);
     SeqNum nuWakeupBoundary(const ThreadContext &t) const;
     void executeLoad(DynInst *inst, Cycle now);
     void scheduleCompletion(DynInst *inst, Cycle when);
@@ -534,6 +574,13 @@ class Core
 
     // ---- time ----
     Cycle now_ = 0;
+
+    // ---- idle-cycle skipping ----
+    bool progress_ = false;   ///< the last tick did work (see skipIdle)
+    bool idle_armed_ = false; ///< counter_snap_ holds a quiet tick's end
+    std::uint64_t skipped_ = 0;
+    std::vector<Counter *> counters_; ///< every counter the core owns
+    std::vector<std::uint64_t> counter_snap_;
 
     // ---- hardware threads ----
     std::vector<std::unique_ptr<ThreadContext>> threads_;

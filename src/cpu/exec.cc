@@ -1,5 +1,7 @@
 #include "cpu/exec.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace ltp {
@@ -55,6 +57,13 @@ FuPool::canIssue(OpClass c, Cycle now) const
         if (busy <= now)
             return true;
     return false;
+}
+
+Cycle
+FuPool::freeAt(OpClass c) const
+{
+    const GroupState &g = groups_[groupOf(c)];
+    return *std::min_element(g.busyUntil.begin(), g.busyUntil.end());
 }
 
 int

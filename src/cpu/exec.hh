@@ -52,6 +52,13 @@ class FuPool
     /** Claim a unit; returns the execute latency of the op. */
     int issue(OpClass c, Cycle now);
 
+    /**
+     * The first cycle a unit for class @p c is free, ignoring this
+     * cycle's issue count: canIssue() holds at every later cycle
+     * until the next issue (idle-cycle skipping's FU event).
+     */
+    Cycle freeAt(OpClass c) const;
+
   private:
     enum Group { kAlu, kMul, kFp, kLd, kSt, kNumGroups };
 

@@ -49,6 +49,17 @@ class LtpMonitor
         return !use_timer_ || now < deadline_;
     }
 
+    /**
+     * The first cycle after @p now at which enabled() changes on its
+     * own (the timer expiring), or kCycleNever.  Only a DRAM miss
+     * turns LTP back on, and that is simulated work, not a timeout.
+     */
+    Cycle
+    nextChange(Cycle now) const
+    {
+        return use_timer_ && deadline_ > now ? deadline_ : kCycleNever;
+    }
+
     /** Fraction of cycles LTP was powered on (Fig 7 bottom). */
     double
     enabledFraction(Cycle now)

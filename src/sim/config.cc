@@ -181,12 +181,14 @@ namespace {
 enum class FieldKind { Int, U64, Double, Bool, String, Mode, Classifier,
                        Wakeup, Fetch };
 
-/** One serializable field: dotted path + typed pointer into a config. */
+/** One serializable field: dotted path + typed pointer into a config,
+ *  plus the smallest value an Int field accepts. */
 struct Field
 {
     const char *path;
     FieldKind kind;
     void *p;
+    int min = INT_MIN;
 };
 
 /** The full registry, in emission order (paths group into objects). */
@@ -199,6 +201,10 @@ fieldsOf(SimConfig &c)
     MemConfig &me = c.mem;
     auto I = [](const char *n, int &v) {
         return Field{n, FieldKind::Int, &v};
+    };
+    // Widths and unit counts: zero would stall the pipeline forever.
+    auto W = [](const char *n, int &v) {
+        return Field{n, FieldKind::Int, &v, 1};
     };
     auto U = [](const char *n, std::uint64_t &v) {
         return Field{n, FieldKind::U64, &v};
@@ -213,12 +219,12 @@ fieldsOf(SimConfig &c)
         {"name", FieldKind::String, &c.name},
         U("seed", c.seed),
 
-        I("core.fetchWidth", co.fetchWidth),
-        I("core.decodeWidth", co.decodeWidth),
-        I("core.renameWidth", co.renameWidth),
-        I("core.issueWidth", co.issueWidth),
-        I("core.wbWidth", co.wbWidth),
-        I("core.commitWidth", co.commitWidth),
+        W("core.fetchWidth", co.fetchWidth),
+        W("core.decodeWidth", co.decodeWidth),
+        W("core.renameWidth", co.renameWidth),
+        W("core.issueWidth", co.issueWidth),
+        W("core.wbWidth", co.wbWidth),
+        W("core.commitWidth", co.commitWidth),
         I("core.rob", co.robSize),
         I("core.iq", co.iqSize),
         I("core.lq", co.lqSize),
@@ -230,14 +236,14 @@ fieldsOf(SimConfig &c)
         I("core.redirectPenalty", co.redirectPenalty),
         I("core.bpTableBits", co.bpTableBits),
         I("core.btbEntries", co.btbEntries),
-        I("core.sqDrainWidth", co.sqDrainWidth),
+        W("core.sqDrainWidth", co.sqDrainWidth),
         I("core.numThreads", co.numThreads),
         {"core.fetchPolicy", FieldKind::Fetch, &co.fetchPolicy},
-        I("core.fu.alu", fu.alu),
-        I("core.fu.mul", fu.mul),
-        I("core.fu.fp", fu.fp),
-        I("core.fu.ld", fu.ld),
-        I("core.fu.st", fu.st),
+        W("core.fu.alu", fu.alu),
+        W("core.fu.mul", fu.mul),
+        W("core.fu.fp", fu.fp),
+        W("core.fu.ld", fu.ld),
+        W("core.fu.st", fu.st),
         {"core.ltp.mode", FieldKind::Mode, &lt.mode},
         {"core.ltp.classifier", FieldKind::Classifier, &lt.classifier},
         I("core.ltp.entries", lt.entries),
@@ -451,6 +457,18 @@ parseIntValue(const std::string &s, const std::string &where)
     return static_cast<int>(v);
 }
 
+/** Parse an Int field's value and enforce the registry minimum. */
+int
+parseIntField(const Field &f, const std::string &s,
+              const std::string &where)
+{
+    int v = parseIntValue(s, where);
+    if (v < f.min)
+        badConfig(where + " must be at least " + std::to_string(f.min) +
+                  ", got " + s);
+    return v;
+}
+
 /** Whole-string unsigned 64-bit parse (rejects sign/fraction). */
 std::uint64_t
 parseU64Value(const std::string &s, const std::string &where)
@@ -473,12 +491,9 @@ setFromJson(const Field &f, const JsonValue &v, const std::string &where)
     switch (f.kind) {
       case FieldKind::Int:
         // Sizes additionally accept the string "inf".
-        if (v.isString()) {
-            *static_cast<int *>(f.p) = parseIntValue(v.str, where);
-            return;
-        }
-        wantNumber();
-        *static_cast<int *>(f.p) = parseIntValue(v.str, where);
+        if (!v.isString())
+            wantNumber();
+        *static_cast<int *>(f.p) = parseIntField(f, v.str, where);
         return;
       case FieldKind::U64:
         wantNumber();
@@ -646,7 +661,7 @@ applyOverride(SimConfig &cfg, const std::string &path,
             continue;
         switch (f.kind) {
           case FieldKind::Int:
-            *static_cast<int *>(f.p) = parseIntValue(value, path);
+            *static_cast<int *>(f.p) = parseIntField(f, value, path);
             return;
           case FieldKind::U64:
             *static_cast<std::uint64_t *>(f.p) =

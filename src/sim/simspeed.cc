@@ -54,6 +54,10 @@ cellJson(const SimSpeedCell &c,
     o.num("detailed_insts", double(c.detailedInsts));
     o.num("wall_ms", c.wallMs);
     o.num("kips", c.kips);
+    if (c.ticks > 0) {
+        o.u64("ticks", c.ticks);
+        o.u64("ticks_skipped", c.ticksSkipped);
+    }
     auto ref = refs.find(c.label);
     if (ref != refs.end()) {
         o.num("reference_kips", ref->second);
@@ -63,6 +67,7 @@ cellJson(const SimSpeedCell &c,
     if (c.profiled()) {
         JsonObjectBuilder p;
         p.u64("ticks", c.profile.ticks);
+        p.u64("skipped_ticks", c.profile.skippedTicks);
         p.u64("total_ns", c.profile.totalNs());
         JsonObjectBuilder stages;
         for (int s = 0; s < TickProfile::kNumStages; ++s)
@@ -111,6 +116,7 @@ runSimSpeedBench(const SimSpeedOptions &opts)
     SimSpeedReport report;
     report.quick = opts.quick;
     report.seed = opts.seed;
+    report.lengths = opts.lengths;
     // Profiled runs keep reps=1: stage times accumulate across runs
     // and would not match a best-of-N wall time.
     int reps = opts.profile ? 1 : std::max(1, opts.reps);
@@ -131,12 +137,13 @@ runSimSpeedBench(const SimSpeedOptions &opts)
             cell.detailedInsts = per_sim;
             for (int r = 0; r < reps; ++r) {
                 auto start = std::chrono::steady_clock::now();
-                if (opts.profile) {
+                {
                     Simulator sim(cfg, kernel, opts.lengths);
-                    sim.core().setProfiler(&cell.profile);
+                    if (opts.profile)
+                        sim.core().setProfiler(&cell.profile);
                     sim.run();
-                } else {
-                    Simulator::runOnce(cfg, kernel, opts.lengths);
+                    cell.ticks = sim.core().cycle();
+                    cell.ticksSkipped = sim.core().skippedTicks();
                 }
                 double ms = msSince(start);
                 if (r == 0 || ms < cell.wallMs)
@@ -202,6 +209,65 @@ loadBaseline(const std::string &path)
     return parseJson(text.str());
 }
 
+/** The key a kernel cell's work counters are recorded under. */
+std::string
+workKey(const SimSpeedCell &c)
+{
+    return c.label + "/" + c.config;
+}
+
+/** Exact work-counter half of checkSimSpeedBaseline. */
+bool
+checkWorkCounters(const SimSpeedReport &report, const JsonValue &root)
+{
+    auto it = root.object.find("work_counters");
+    if (!report.quick || it == root.object.end() || !it->second.isObject())
+        return true;
+    const JsonValue &work = it->second;
+    auto recorded = [&work](const char *key) {
+        auto f = work.object.find(key);
+        return f != work.object.end() && f->second.isNumber()
+                   ? f->second.num
+                   : -1.0;
+    };
+    if (recorded("seed") != double(report.seed) ||
+        recorded("func_warm") != double(report.lengths.funcWarm) ||
+        recorded("pipe_warm") != double(report.lengths.pipeWarm) ||
+        recorded("detail") != double(report.lengths.detail)) {
+        std::printf("work check: not applicable (recorded at another "
+                    "seed or staging)\n");
+        return true;
+    }
+    // A cell missing from the record reads as 0 ticks and fails.
+    auto cells = work.object.find("cells");
+    bool ok = true;
+    for (const SimSpeedCell &c : report.kernelCells) {
+        std::uint64_t ticks = 0, skipped = 0;
+        if (cells != work.object.end()) {
+            auto rec = cells->second.object.find(workKey(c));
+            if (rec != cells->second.object.end()) {
+                for (const auto &[key, v] : rec->second.object) {
+                    if (key == "ticks" && v.isNumber())
+                        ticks = std::uint64_t(v.num);
+                    if (key == "ticks_skipped" && v.isNumber())
+                        skipped = std::uint64_t(v.num);
+                }
+            }
+        }
+        bool cell_ok = c.ticks == ticks && c.ticksSkipped >= skipped;
+        std::printf("work check: %s ticks %llu (recorded %llu), "
+                    "skipped %llu (floor %llu): %s\n",
+                    workKey(c).c_str(),
+                    static_cast<unsigned long long>(c.ticks),
+                    static_cast<unsigned long long>(ticks),
+                    static_cast<unsigned long long>(c.ticksSkipped),
+                    static_cast<unsigned long long>(skipped),
+                    cell_ok ? "OK" : "REGRESSION");
+        ok = ok && cell_ok;
+    }
+    return ok;
+}
+
 } // namespace
 
 std::map<std::string, double>
@@ -235,7 +301,7 @@ checkSimSpeedBaseline(const SimSpeedReport &report,
                 "(floor %.1f at %.0f%%): %s\n",
                 report.totalKips, baseline, floor,
                 failBelowFrac * 100.0, ok ? "OK" : "REGRESSION");
-    return ok;
+    return checkWorkCounters(report, root) && ok;
 }
 
 } // namespace ltp

@@ -71,6 +71,13 @@ struct SimSpeedCell
     std::uint64_t detailedInsts = 0; ///< pipeWarm + detail, summed
     double wallMs = 0.0;
     double kips = 0.0; ///< detailedInsts / wall seconds / 1000
+    /**
+     * Deterministic work counters of a kernel cell (scenario cells
+     * leave them 0): the core cycles the run simulated, and how many
+     * of them idle-cycle skipping jumped instead of ticking.
+     */
+    std::uint64_t ticks = 0;
+    std::uint64_t ticksSkipped = 0;
     /** Per-stage attribution, filled by SimSpeedOptions::profile on
      *  kernel cells (scenario cells run through the Runner and are
      *  not instrumented). */
@@ -85,6 +92,7 @@ struct SimSpeedReport
     bool quick = false;
     std::uint64_t seed = 1;
     int reps = 1; ///< best-of-N wall times (SimSpeedOptions::reps)
+    RunLengths lengths; ///< kernel-cell staging
     std::vector<SimSpeedCell> kernelCells;
     std::vector<SimSpeedCell> scenarioCells;
     /** Measured but ungated (not part of totalKips). */
@@ -111,6 +119,13 @@ SimSpeedReport runSimSpeedBench(const SimSpeedOptions &opts);
  * Gate against a baseline file ({"total_kips": N, ...}).  Prints the
  * verdict; returns false when measured total kIPS falls below
  * @p failBelowFrac of the baseline (the CI perf-smoke failure).
+ *
+ * A --quick report is also gated exactly on its work counters: when
+ * the baseline's "work_counters" block was recorded at the report's
+ * seed and staging, every kernel cell must simulate exactly the
+ * recorded ticks and skip at least the recorded ticks_skipped.  That
+ * half holds on any host.
+ *
  * A missing/invalid baseline file is a hard error (throws).
  */
 bool checkSimSpeedBaseline(const SimSpeedReport &report,

@@ -11,6 +11,12 @@
 #   3. distributed  fig6_iq_quick locally and as one `--submit` to a
 #                   frontend over two workers: byte-identical (modulo
 #                   wall_ms/threads), then a warm resubmit all hits.
+#   4. replay       record every suite kernel, then `replay --verify`
+#                   under baseline and ltpProposal NR+NU: replayed
+#                   Metrics bit-identical to executed ones.
+#   5. smt          the smt_pairs sweep, plus explicit roundRobin and
+#                   icount runs of one pair.
+#   6. config       a zero width or FU count exits 1 naming the field.
 #
 # Daemons listen on ephemeral ports (--port=0, read back from their
 # "listening on port" line); caches and reports live in a temporary
@@ -143,4 +149,38 @@ done
 
 wait "${PIDS[@]}"
 PIDS=()
+
+echo "== 4. record and replay: Metrics bit-identity"
+"$LTP" record all --out traces \
+    --warm=4000 --pipewarm=800 --detail=2000 --seed=1
+# Fails (exit 1) on any replayed-vs-executed Metrics mismatch, under
+# both the baseline and the LTP proposal configs.
+"$LTP" replay traces --verify
+"$LTP" replay traces --verify --preset=ltpProposal --mode=NR+NU
+
+echo "== 5. SMT pairs, both fetch policies"
+# The scenario's own sweep covers roundRobin and icount; the explicit
+# --set runs pin each policy end to end as well, so a policy-specific
+# regression cannot hide behind the other series.
+"$LTP" sweep "$SCENARIOS/smt_pairs.json" --progress \
+    --warm=4000 --pipewarm=800 --detail=2000 --threads=2 \
+    --json=BENCH_smt_pairs.json --csv=BENCH_smt_pairs.csv
+"$LTP" run --preset=ltpProposal --mode=NR+NU \
+    --kernel=smt:graph_walk+dense_compute \
+    --set core.fetchPolicy=roundRobin \
+    --warm=4000 --pipewarm=800 --detail=2000
+"$LTP" run --preset=ltpProposal --mode=NR+NU \
+    --kernel=smt:graph_walk+dense_compute \
+    --set core.fetchPolicy=icount \
+    --warm=4000 --pipewarm=800 --detail=2000
+
+echo "== 6. invalid config values"
+for bad in core.fu.ld=0 core.commitWidth=0; do
+    status=0
+    "$LTP" run --kernel=linked_list --set "$bad" 2>bad.log || status=$?
+    cat bad.log
+    [ "$status" -eq 1 ] || fail "--set $bad exited $status"
+    grep -q "${bad%=*}" bad.log || fail "--set $bad error does not name it"
+done
+
 echo "cli smoke: all checks passed"

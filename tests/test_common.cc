@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/timing_wheel.hh"
 #include "common/types.hh"
 
 namespace ltp {
@@ -419,6 +422,92 @@ TEST(Ring, CapacityAssertsOnEmptyPops)
     // still coherent.
     r.push_back(2);
     EXPECT_EQ(r.front(), 2);
+}
+
+// ---------------------------------------------------------------------
+// TimingWheel: exact next-event queries and empty-span jumps.
+
+TEST(TimingWheel, EmptyWheelHasNoNextEventAndJumps)
+{
+    TimingWheel<int> w;
+    EXPECT_EQ(w.nextEventCycle(), kCycleNever);
+    int fired = 0;
+    w.advanceTo(1000000, [&](int) { fired += 1; });
+    EXPECT_EQ(w.now(), 1000000u);
+    EXPECT_EQ(fired, 0);
+}
+
+TEST(TimingWheel, LevelOneEntryCanPrecedeLevelZero)
+{
+    TimingWheel<int> w;
+    std::vector<std::pair<int, Cycle>> fired;
+    auto record = [&](int ev) { fired.emplace_back(ev, w.now()); };
+    w.schedule(520, 1); // epoch 2, over a revolution out: level 1
+    w.advanceTo(300, record);
+    w.schedule(540, 2); // 240 cycles out: level 0, yet fires later
+    EXPECT_EQ(w.nextEventCycle(), 520u);
+    w.advanceTo(519, record);
+    EXPECT_TRUE(fired.empty());
+    w.advanceTo(600, record);
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_EQ(fired[0], std::make_pair(1, Cycle(520)));
+    EXPECT_EQ(fired[1], std::make_pair(2, Cycle(540)));
+    EXPECT_EQ(w.nextEventCycle(), kCycleNever);
+}
+
+TEST(TimingWheel, EmptySpanAdvanceReachesOverflowEvent)
+{
+    TimingWheel<int> w;
+    w.schedule(100000, 7); // beyond both levels: the overflow list
+    EXPECT_EQ(w.nextEventCycle(), 100000u);
+    int fired = 0;
+    w.advanceTo(99999, [&](int) { fired += 1; });
+    EXPECT_EQ(fired, 0);
+    EXPECT_EQ(w.nextEventCycle(), 100000u);
+    w.advanceTo(100000, [&](int ev) {
+        EXPECT_EQ(ev, 7);
+        EXPECT_EQ(w.now(), 100000u);
+        fired += 1;
+    });
+    EXPECT_EQ(fired, 1);
+}
+
+TEST(TimingWheel, RandomTrafficMatchesReferenceSchedule)
+{
+    Rng rng(11);
+    TimingWheel<int> w;
+    std::vector<std::pair<Cycle, int>> pending; // reference: (when, id)
+    int next_id = 0;
+    for (int step = 0; step < 4000; ++step) {
+        Cycle now = w.now();
+        int n = int(rng.below(3));
+        for (int i = 0; i < n; ++i) {
+            Cycle when = now + (rng.chance(0.1) ? rng.below(200000)
+                                                : rng.below(600));
+            w.schedule(when, next_id);
+            pending.emplace_back(std::max(when, now + 1), next_id);
+            next_id += 1;
+        }
+        Cycle expect_next = kCycleNever;
+        for (const auto &p : pending)
+            expect_next = std::min(expect_next, p.first);
+        ASSERT_EQ(w.nextEventCycle(), expect_next) << "step " << step;
+
+        Cycle to = now + (rng.chance(0.5) ? 1 : rng.below(3000));
+        w.advanceTo(to, [&](int ev) {
+            auto it = std::find_if(
+                pending.begin(), pending.end(),
+                [ev](const std::pair<Cycle, int> &p) {
+                    return p.second == ev;
+                });
+            ASSERT_NE(it, pending.end());
+            EXPECT_EQ(it->first, w.now()) << "event " << ev;
+            pending.erase(it);
+        });
+        for (const auto &p : pending)
+            ASSERT_GT(p.first, to) << "event " << p.second << " missed";
+        ASSERT_EQ(w.size(), pending.size());
+    }
 }
 
 } // namespace

@@ -240,6 +240,45 @@ TEST(ConfigJson, ApplyOverrideBadValueNamesThePath)
     EXPECT_NE(msg.find("core.ltp.monitor"), std::string::npos) << msg;
 }
 
+TEST(ConfigJson, ZeroWidthsAndUnitCountsAreRejectedNamingThePath)
+{
+    // Each of these at 0 stalls the pipeline for good (or trips the
+    // FU pool's assert), so the config boundary refuses it.
+    const char *const kAtLeastOne[] = {
+        "core.fetchWidth", "core.decodeWidth", "core.renameWidth",
+        "core.issueWidth", "core.wbWidth",     "core.commitWidth",
+        "core.sqDrainWidth", "core.fu.alu",    "core.fu.mul",
+        "core.fu.fp",      "core.fu.ld",       "core.fu.st"};
+    for (const char *path : kAtLeastOne) {
+        for (const char *bad : {"0", "-3"}) {
+            SimConfig c;
+            std::string msg =
+                messageOf([&]() { applyOverride(c, path, bad); });
+            EXPECT_NE(msg.find(path), std::string::npos) << msg;
+            EXPECT_NE(msg.find("at least 1"), std::string::npos) << msg;
+            EXPECT_EQ(configToJson(c), configToJson(SimConfig{}))
+                << path << "=" << bad << " was applied";
+
+            // The same value as nested JSON.
+            std::string dotted(path);
+            std::string json = "{";
+            std::size_t depth = 0, from = 0, dot;
+            while ((dot = dotted.find('.', from)) != std::string::npos) {
+                json += "\"" + dotted.substr(from, dot - from) + "\": {";
+                depth += 1;
+                from = dot + 1;
+            }
+            json += "\"" + dotted.substr(from) + "\": " + bad +
+                    std::string(depth, '}') + "}";
+            msg = messageOf([&]() { configFromJson(json); });
+            EXPECT_NE(msg.find(path), std::string::npos) << json << msg;
+        }
+        SimConfig c;
+        applyOverride(c, path, "1");
+        EXPECT_NO_THROW(configFromJson(configToJson(c))) << path;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // configFromJson errors
 // ---------------------------------------------------------------------------

@@ -28,10 +28,15 @@
  *      against the pending bitmask — same membership, same seq order —
  *      and each parked pendingTickets counter equals a fresh recount,
  *      every cycle, including across mid-run squashes.
+ *  P10 Idle-cycle skipping: the shipped run loops (single-thread and
+ *      SMT on_tick) end on the same cycle, with the same counters,
+ *      occupancy means and memory means, as a bare Core::tick() loop,
+ *      on every suite kernel under a dozen configurations.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <stdexcept>
 #include <tuple>
 
@@ -385,6 +390,268 @@ INSTANTIATE_TEST_SUITE_P(
         return std::get<0>(info.param) + "_" + mode + "_s" +
                std::to_string(std::get<2>(info.param));
     });
+
+// ---------------------------------------------------------------------
+// P10: idle-cycle skipping is bit-identical to ticking every cycle.
+
+/** A named configuration of the skip-vs-tick sweep. */
+struct SkipConfig
+{
+    const char *name;
+    SimConfig (*make)();
+};
+
+const SkipConfig kSkipConfigs[] = {
+    {"baseline", [] { return SimConfig::baseline(); }},
+    {"shrink",
+     [] { return SimConfig::baseline().withIq(32).withRegs(96); }},
+    {"NU", [] { return SimConfig::ltpProposal(LtpMode::NU); }},
+    {"NR", [] { return SimConfig::ltpProposal(LtpMode::NR); }},
+    {"NRNU", [] { return SimConfig::ltpProposal(LtpMode::NRNU); }},
+    {"limit_NR", [] { return SimConfig::limitStudy(LtpMode::NR); }},
+    {"limit_NRNU", [] { return SimConfig::limitStudy(LtpMode::NRNU); }},
+    {"NRNU_monitor_off",
+     [] {
+         return SimConfig::ltpProposal(LtpMode::NRNU).withMonitor(false);
+     }},
+    {"NRNU_mshr4",
+     [] {
+         SimConfig c = SimConfig::ltpProposal(LtpMode::NRNU);
+         c.mem.l1dMshrs = 4;
+         return c;
+     }},
+    {"baseline_mshr2",
+     [] {
+         SimConfig c = SimConfig::baseline();
+         c.mem.l1dMshrs = 2;
+         return c;
+     }},
+    {"NU_lazy",
+     [] {
+         SimConfig c = SimConfig::ltpProposal(LtpMode::NU);
+         c.core.ltp.wakeup = WakeupPolicy::Lazy;
+         return c;
+     }},
+    {"NRNU_delay_lq16_sq8",
+     [] {
+         SimConfig c =
+             SimConfig::ltpProposal(LtpMode::NRNU).withLq(16).withSq(8);
+         c.core.ltp.delayLqSq = true;
+         return c;
+     }},
+};
+
+/** Everything a skipped cycle could have to account for. */
+struct SkipObservation
+{
+    Cycle cycle = 0;
+    std::vector<std::uint64_t> counters;
+    std::vector<double> means;
+};
+
+SkipObservation
+observe(Simulator &sim)
+{
+    Core &core = sim.core();
+    MemSystem &mem = sim.mem();
+    Cycle now = core.cycle();
+    SkipObservation o;
+    o.cycle = now;
+    auto add = [&o](const Counter &c) { o.counters.push_back(c.value()); };
+    for (int tid = 0; tid < core.numThreads(); ++tid) {
+        core.stats(tid).forEachCounter(add);
+        LtpQueue &q = core.ltpQueue(tid);
+        for (const Counter *c :
+             {&q.pushes, &q.pops, &q.camExtractions, &q.insertPortStalls,
+              &q.extractPortStalls, &q.fullStalls, &core.uit(tid).lookups,
+              &core.uit(tid).hits, &core.uit(tid).inserts,
+              &core.uit(tid).conflictEvictions,
+              &core.llpred(tid).predictions, &core.llpred(tid).correct,
+              &core.llpred(tid).mispredicts,
+              &core.tickets(tid).allocations,
+              &core.tickets(tid).exhaustions,
+              &core.tickets(tid).broadcasts, &core.lsq(tid).forwards,
+              &core.branchPred(tid).lookups,
+              &core.branchPred(tid).mispredicts})
+            add(*c);
+        o.means.push_back(core.rob(tid).occupancy.mean(now));
+        o.means.push_back(core.lsq(tid).lqOccupancy.mean(now));
+        o.means.push_back(core.lsq(tid).sqOccupancy.mean(now));
+        o.means.push_back(q.occupancy.mean(now));
+        o.means.push_back(q.parkedWithDest.mean(now));
+        o.means.push_back(q.parkedLoads.mean(now));
+        o.means.push_back(q.parkedStores.mean(now));
+        o.means.push_back(core.monitor(tid).enabledFraction(now));
+    }
+    add(core.iq().inserts);
+    for (RegClass cls : {RegClass::Int, RegClass::Fp}) {
+        add(core.regs(cls).allocations);
+        add(core.regs(cls).reserveAllocations);
+        o.means.push_back(core.regs(cls).occupancy.mean(now));
+    }
+    o.means.push_back(core.iq().occupancy.mean(now));
+    o.means.push_back(mem.avgOutstanding(now));
+    o.means.push_back(mem.avgLoadLatency());
+    add(mem.dram().reads);
+    return o;
+}
+
+void
+expectSameObservation(const SkipObservation &skip,
+                      const SkipObservation &ticked)
+{
+    EXPECT_EQ(skip.cycle, ticked.cycle);
+    ASSERT_EQ(skip.counters.size(), ticked.counters.size());
+    for (std::size_t i = 0; i < skip.counters.size(); ++i)
+        EXPECT_EQ(skip.counters[i], ticked.counters[i]) << "counter " << i;
+    ASSERT_EQ(skip.means.size(), ticked.means.size());
+    for (std::size_t i = 0; i < skip.means.size(); ++i)
+        EXPECT_EQ(skip.means[i], ticked.means[i]) << "mean " << i;
+}
+
+RunLengths
+skipLengths()
+{
+    RunLengths l;
+    l.funcWarm = 20000;
+    l.pipeWarm = 1000;
+    l.detail = 4000;
+    return l;
+}
+
+/**
+ * Drive @p sim through a warm phase, a stats reset and a measured
+ * phase, either with the shipped run loop or with a bare Core::tick()
+ * loop to the same commit counts.  With @p gate, a hook after every
+ * executed tick stops each context's fetch once it reaches the phase
+ * quota (the Simulator's SMT staging), which also routes the shipped
+ * run through its on_tick loop.
+ */
+void
+runPhases(Simulator &sim, bool skip, bool gate = false)
+{
+    Core &core = sim.core();
+    std::uint64_t quota = 0;
+    Core::TickHook hook;
+    if (gate) {
+        hook = [&core, &quota] {
+            for (int tid = 0; tid < core.numThreads(); ++tid)
+                if (core.committedInsts(tid) >= quota)
+                    core.setFetchEnabled(tid, false);
+        };
+    }
+    auto least = [&core] {
+        std::uint64_t n = core.committedInsts(0);
+        for (int tid = 1; tid < core.numThreads(); ++tid)
+            n = std::min(n, core.committedInsts(tid));
+        return n;
+    };
+    RunLengths l = skipLengths();
+    for (std::uint64_t phase : {l.pipeWarm, l.detail}) {
+        quota = phase;
+        if (skip) {
+            core.runUntilCommitted(quota, kCycleNever, hook);
+        } else {
+            while (least() < quota) {
+                core.tick();
+                if (hook)
+                    hook();
+            }
+        }
+        if (phase == l.pipeWarm) {
+            core.resetStats();
+            sim.mem().resetStats(core.cycle());
+            for (int tid = 0; tid < core.numThreads(); ++tid)
+                core.setFetchEnabled(tid, true);
+        }
+    }
+}
+
+using SkipCase = std::tuple<std::string, int>;
+
+class SkipVsTickProp : public ::testing::TestWithParam<SkipCase>
+{
+};
+
+TEST_P(SkipVsTickProp, SkippingMatchesTickingEveryCycle)
+{
+    const auto &[kernel, config] = GetParam();
+    SimConfig cfg = kSkipConfigs[config].make();
+    Simulator skipped(cfg, kernel, skipLengths());
+    Simulator ticked(cfg, kernel, skipLengths());
+    runPhases(skipped, true);
+    runPhases(ticked, false);
+    EXPECT_EQ(ticked.core().skippedTicks(), 0u);
+    expectSameObservation(observe(skipped), observe(ticked));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SkipVsTickProp,
+    ::testing::Combine(
+        ::testing::Values("paper_loop", "graph_walk",
+                          "indirect_stream_fp", "sparse_gather",
+                          "hash_probe", "linked_list", "bucket_shuffle",
+                          "btree_lookup", "dense_compute", "branchy_int",
+                          "fp_kernel", "cache_stream", "reduction",
+                          "int_mix", "div_heavy"),
+        ::testing::Range(0, int(std::size(kSkipConfigs)))),
+    [](const ::testing::TestParamInfo<SkipCase> &info) {
+        return std::get<0>(info.param) + "_" +
+               kSkipConfigs[std::get<1>(info.param)].name;
+    });
+
+class SkipVsTickSmtProp : public ::testing::TestWithParam<FetchPolicy>
+{
+};
+
+TEST_P(SkipVsTickSmtProp, OnTickLoopMatchesTickingEveryCycle)
+{
+    SimConfig cfg = SimConfig::ltpProposal(LtpMode::NRNU);
+    cfg.core.fetchPolicy = GetParam();
+    const std::string kernel = "smt:graph_walk+dense_compute";
+    Simulator skipped(cfg, kernel, skipLengths());
+    Simulator ticked(cfg, kernel, skipLengths());
+    ASSERT_EQ(skipped.core().numThreads(), 2);
+
+    runPhases(skipped, true, /*gate=*/true);
+    runPhases(ticked, false, /*gate=*/true);
+    EXPECT_GT(skipped.core().skippedTicks(), 0u);
+    expectSameObservation(observe(skipped), observe(ticked));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, SkipVsTickSmtProp,
+    ::testing::Values(FetchPolicy::RoundRobin, FetchPolicy::ICount),
+    [](const ::testing::TestParamInfo<FetchPolicy> &info) {
+        return std::string(fetchPolicyName(info.param));
+    });
+
+TEST(SkipVsTickCap, MaxCyclesStopsOnTheSameCycle)
+{
+    // A cap that lands inside DRAM stalls: the jump must stop at it.
+    for (Cycle cap : {Cycle(5003), Cycle(12345), Cycle(20011)}) {
+        Simulator skipped(SimConfig::baseline(), "linked_list",
+                          skipLengths());
+        Simulator ticked(SimConfig::baseline(), "linked_list",
+                         skipLengths());
+        skipped.core().runUntilCommitted(1000000, cap);
+        while (ticked.core().cycle() < cap)
+            ticked.core().tick();
+        EXPECT_EQ(skipped.core().cycle(), cap);
+        EXPECT_GT(skipped.core().skippedTicks(), 0u);
+        expectSameObservation(observe(skipped), observe(ticked));
+    }
+}
+
+TEST(SkipEffectiveness, LinkedListBaselineSkipsMostCycles)
+{
+    Simulator sim(SimConfig::baseline(), "linked_list", skipLengths());
+    sim.run();
+    double share = double(sim.core().skippedTicks()) /
+                   double(sim.core().cycle());
+    EXPECT_GE(share, 0.75) << "skipped " << sim.core().skippedTicks()
+                           << " of " << sim.core().cycle() << " cycles";
+}
 
 // ---------------------------------------------------------------------
 // P6: oracle closure on random DAG traces.

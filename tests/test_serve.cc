@@ -216,6 +216,25 @@ TEST_F(ServeTest, UnknownWorkloadComesBackAsError)
     EXPECT_NO_THROW(client->rpc("ping"));
 }
 
+TEST_F(ServeTest, ZeroUnitCountComesBackAsErrorNamingTheField)
+{
+    // Built in C++, the config bypasses applyOverride's check: only the
+    // daemon's configFromJson stands between it and the FU pool.
+    auto client = connect();
+    SimConfig cfg = SimConfig::baseline();
+    cfg.core.fu.ld = 0;
+    CellKey key = cellKeyFor(cfg, "paper_loop", tiny());
+    try {
+        client->runCell(key, cfg, "paper_loop", tiny(), SamplePlan{});
+        ADD_FAILURE() << "a core with no load units was simulated";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("core.fu.ld"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_NO_THROW(client->rpc("ping"));
+}
+
 // ---------------------------------------------------------------------------
 // Transport robustness: a daemon that is absent or hung must fail the
 // request with an error naming the server, never block forever.

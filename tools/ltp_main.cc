@@ -642,12 +642,17 @@ cmdBench(const Cli &cli)
     if (perf_pid > 0)
         stopPerf(perf_pid, perf_out);
 
-    Table t({"cell", "config", "sims", "insts", "wall ms", "kIPS"});
+    Table t({"cell", "config", "sims", "insts", "wall ms", "kIPS",
+             "ticks", "ticks skipped"});
     auto addRows = [&](const std::vector<SimSpeedCell> &cells) {
-        for (const SimSpeedCell &c : cells)
+        for (const SimSpeedCell &c : cells) {
+            bool work = c.ticks > 0;
             t.addRow({c.label, c.config, std::to_string(c.simulations),
                       std::to_string(c.detailedInsts),
-                      Table::num(c.wallMs, 1), Table::num(c.kips, 1)});
+                      Table::num(c.wallMs, 1), Table::num(c.kips, 1),
+                      work ? std::to_string(c.ticks) : "-",
+                      work ? std::to_string(c.ticksSkipped) : "-"});
+        }
     };
     addRows(report.kernelCells);
     addRows(report.scenarioCells);
@@ -681,6 +686,7 @@ cmdBench(const Cli &cli)
             for (int s = 0; s < TickProfile::kNumStages; ++s)
                 agg.ns[std::size_t(s)] += c.profile.ns[std::size_t(s)];
             agg.ticks += c.profile.ticks;
+            agg.skippedTicks += c.profile.skippedTicks;
         }
         std::vector<std::string> head = {"stage"};
         for (const std::string &cfg : cfgs) {
@@ -704,6 +710,12 @@ cmdBench(const Cli &cli)
         }
         pt.print("per-stage tick attribution (kernel cells, "
                  "aggregated per config)");
+        for (const std::string &cfg : cfgs)
+            std::printf("%s: %llu ticks executed, %llu skipped\n",
+                        cfg.c_str(),
+                        static_cast<unsigned long long>(byCfg[cfg].ticks),
+                        static_cast<unsigned long long>(
+                            byCfg[cfg].skippedTicks));
     }
 
     std::string json = cli.str("json", "");
