@@ -26,7 +26,7 @@ using namespace ltp;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv, {"kernel", "detail", "seed"});
+    Cli cli(argc, argv, {{"kernel", "detail", "seed"}});
     std::string kernel = cli.str("kernel", "graph_walk");
     std::uint64_t seed = cli.integer("seed", 1);
     std::uint64_t n = cli.integer("detail", 40000);

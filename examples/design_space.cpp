@@ -21,7 +21,7 @@ using namespace ltp;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv, {"kernel", "detail", "seed", "mode", "threads"});
+    Cli cli(argc, argv, {{"kernel", "detail", "seed", "mode", "threads"}});
     std::string kernel = cli.str("kernel", "bucket_shuffle");
     std::string mode_str = cli.str("mode", "NU");
     LtpMode mode = mode_str == "NRNU"

@@ -20,7 +20,7 @@ using namespace ltp;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv, {"detail", "seed"});
+    Cli cli(argc, argv, {{"detail", "seed"}});
     RunLengths lengths = RunLengths::quick();
     lengths.detail = cli.integer("detail", 30000);
     std::uint64_t seed = cli.integer("seed", 1);

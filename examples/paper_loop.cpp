@@ -26,7 +26,7 @@ using namespace ltp;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv, {"iterations", "threads"});
+    Cli cli(argc, argv, {{"iterations", "threads"}});
     int iters = int(cli.integer("iterations", 200));
     int threads = int(cli.integer("threads", 0));
 

@@ -18,7 +18,7 @@ using namespace ltp;
 int
 main(int argc, char **argv)
 {
-    Cli cli(argc, argv, {"kernel", "detail", "seed"});
+    Cli cli(argc, argv, {{"kernel", "detail", "seed"}});
     std::string kernel = cli.str("kernel", "indirect_stream_fp");
 
     RunLengths lengths;

@@ -45,6 +45,16 @@ u64FromLexeme(const std::string &s, std::uint64_t *out)
     return true;
 }
 
+const JsonValue &
+jsonField(const JsonValue &obj, const std::string &key, JsonValue::Kind kind)
+{
+    auto it = obj.object.find(key);
+    if (it == obj.object.end() || it->second.kind != kind)
+        throw std::runtime_error("'" + key + "' is missing or not " +
+                                 JsonValue::kindName(kind));
+    return it->second;
+}
+
 std::string
 jsonQuote(const std::string &s)
 {
@@ -273,9 +283,11 @@ class JsonParser
     std::size_t pos_ = 0;
 };
 
+/** Render @p v; @p indent < 0 selects the single-line compact form. */
 void
 writeValue(const JsonValue &v, int indent, std::string &out)
 {
+    bool pretty = indent >= 0;
     switch (v.kind) {
       case JsonValue::Kind::Null:
         out += "null";
@@ -289,37 +301,31 @@ writeValue(const JsonValue &v, int indent, std::string &out)
       case JsonValue::Kind::String:
         out += jsonQuote(v.str);
         return;
-      case JsonValue::Kind::Array: {
-        if (v.array.empty()) {
-            out += "[]";
-            return;
-        }
+      case JsonValue::Kind::Array:
         out += "[";
         for (std::size_t i = 0; i < v.array.size(); ++i) {
             if (i)
-                out += ", ";
+                out += pretty ? ", " : ",";
             writeValue(v.array[i], indent, out);
         }
         out += "]";
         return;
-      }
       case JsonValue::Kind::Object: {
         if (v.object.empty()) {
             out += "{}";
             return;
         }
-        std::string pad(static_cast<std::size_t>(indent), ' ');
-        std::string inner(static_cast<std::size_t>(indent) + 2, ' ');
-        out += "{\n";
+        std::string inner =
+            pretty ? "\n" + std::string(std::size_t(indent) + 2, ' ') : "";
+        out += "{";
         std::size_t i = 0;
         for (const auto &[key, value] : v.object) {
-            out += inner + jsonQuote(key) + ": ";
-            writeValue(value, indent + 2, out);
-            if (++i < v.object.size())
-                out += ",";
-            out += "\n";
+            out += (i++ ? "," : "") + inner + jsonQuote(key) +
+                   (pretty ? ": " : ":");
+            writeValue(value, pretty ? indent + 2 : -1, out);
         }
-        out += pad + "}";
+        out += pretty ? "\n" + std::string(std::size_t(indent), ' ') + "}"
+                      : "}";
         return;
       }
     }
@@ -341,56 +347,11 @@ writeJson(const JsonValue &v, int indent)
     return out;
 }
 
-namespace {
-
-void
-writeCompact(const JsonValue &v, std::string &out)
-{
-    switch (v.kind) {
-      case JsonValue::Kind::Null:
-        out += "null";
-        return;
-      case JsonValue::Kind::Bool:
-        out += v.boolean ? "true" : "false";
-        return;
-      case JsonValue::Kind::Number:
-        out += v.str.empty() ? jsonNum(v.num) : v.str;
-        return;
-      case JsonValue::Kind::String:
-        out += jsonQuote(v.str);
-        return;
-      case JsonValue::Kind::Array: {
-        out += "[";
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-            if (i)
-                out += ",";
-            writeCompact(v.array[i], out);
-        }
-        out += "]";
-        return;
-      }
-      case JsonValue::Kind::Object: {
-        out += "{";
-        std::size_t i = 0;
-        for (const auto &[key, value] : v.object) {
-            if (i++)
-                out += ",";
-            out += jsonQuote(key) + ":";
-            writeCompact(value, out);
-        }
-        out += "}";
-        return;
-      }
-    }
-}
-
-} // namespace
-
 std::string
 writeJsonCompact(const JsonValue &v)
 {
     std::string out;
-    writeCompact(v, out);
+    writeValue(v, -1, out);
     return out;
 }
 

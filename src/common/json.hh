@@ -75,6 +75,11 @@ std::string jsonNum(double v);
  */
 bool u64FromLexeme(const std::string &s, std::uint64_t *out);
 
+/** @p obj's member @p key, which must exist and be of @p kind.
+ *  @throws std::runtime_error "'<key>' is missing or not <kind>". */
+const JsonValue &jsonField(const JsonValue &obj, const std::string &key,
+                           JsonValue::Kind kind);
+
 /** Quote and escape @p s as a JSON string literal. */
 std::string jsonQuote(const std::string &s);
 

@@ -1519,7 +1519,6 @@ Core::registerCounters()
         t.stats.forEachCounter(add);
         for (Counter *c :
              {&t.ltp.pushes, &t.ltp.pops, &t.ltp.camExtractions,
-              &t.ltp.insertPortStalls, &t.ltp.extractPortStalls,
               &t.ltp.fullStalls, &t.uit.lookups, &t.uit.hits,
               &t.uit.inserts, &t.uit.conflictEvictions,
               &t.llpred.predictions, &t.llpred.correct,

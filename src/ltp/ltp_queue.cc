@@ -229,8 +229,6 @@ LtpQueue::resetStats(Cycle now)
     pushes.reset();
     pops.reset();
     camExtractions.reset();
-    insertPortStalls.reset();
-    extractPortStalls.reset();
     fullStalls.reset();
     occupancy.reset(now);
     parkedWithDest.reset(now);

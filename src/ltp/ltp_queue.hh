@@ -142,8 +142,6 @@ class LtpQueue
     Counter pushes;
     Counter pops;
     Counter camExtractions;
-    Counter insertPortStalls;
-    Counter extractPortStalls;
     Counter fullStalls;
     OccupancyStat occupancy;
     OccupancyStat parkedWithDest; ///< "Regs in LTP"  (Fig 7)

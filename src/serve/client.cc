@@ -7,6 +7,8 @@
 #include <thread>
 #include <utility>
 
+#include "sim/report.hh"
+
 namespace ltp {
 
 ServeBackend::ServeBackend(const std::string &host, int port,
@@ -205,7 +207,7 @@ ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
     JsonValue reply = call(std::move(frame));
 
     CellResult out;
-    out.metrics = frameMetrics(reply, "metrics");
+    out.metrics = metricsFromJson(frameObject(reply, "metrics"));
     auto flag = [&reply](const char *name) {
         auto it = reply.object.find(name);
         return it != reply.object.end() && it->second.isBool() &&
@@ -229,7 +231,7 @@ ServeBackend::lookup(const CellKey &key, Metrics *out)
         throw std::runtime_error("serve lookup reply missing 'found'");
     if (!foundIt->second.boolean)
         return false;
-    *out = frameMetrics(reply, "metrics");
+    *out = metricsFromJson(frameObject(reply, "metrics"));
     return true;
 }
 
@@ -241,27 +243,9 @@ ServeBackend::submitScenario(const JsonValue &scenario)
 
     JsonValue reply = call(std::move(frame));
 
-    SweepResult out;
-    out.name = frameStr(reply, "name");
+    SweepResult out = sweepResultFromJson(reply);
     out.backend = "serve";
-    out.threads = int(frameU64(reply, "threads"));
-    out.simulations = std::size_t(frameU64(reply, "simulations"));
     out.cacheHits = std::size_t(frameU64(reply, "cacheHits"));
-    auto wall = reply.object.find("wall_ms");
-    if (wall != reply.object.end() && wall->second.isNumber())
-        out.wallMs = wall->second.num;
-
-    auto results = reply.object.find("results");
-    if (results == reply.object.end() || !results->second.isArray())
-        throw std::runtime_error(
-            "serve sweep reply 'results' is not an array");
-    for (const JsonValue &cell : results->second.array) {
-        if (!cell.isObject())
-            throw std::runtime_error(
-                "serve sweep reply has a non-object result cell");
-        out.grid.put(frameStr(cell, "row"), frameStr(cell, "series"),
-                     frameMetrics(cell, "metrics"));
-    }
     return out;
 }
 

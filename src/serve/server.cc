@@ -14,6 +14,7 @@
 #include "serve/worker_pool.hh"
 #include "sim/cell_key.hh"
 #include "sim/config.hh"
+#include "sim/report.hh"
 #include "sim/result_cache.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
@@ -504,25 +505,12 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     };
     SweepResult res = Runner(threads, cells).run(spec, progress);
 
-    JsonValue reply = objectFrame(id, "sweep");
-    reply.object["name"] = jsonStr(res.name);
-    reply.object["threads"] = jsonU64(std::uint64_t(res.threads));
-    reply.object["simulations"] = jsonU64(res.simulations);
+    // The reply is the `--json` report of the run plus the frame
+    // fields, so both ends share the report codec.
+    JsonValue reply = sweepResultToJson(res);
+    reply.object["id"] = jsonU64(id);
+    reply.object["type"] = jsonStr("sweep");
     reply.object["cacheHits"] = jsonU64(res.cacheHits);
-    reply.object["wall_ms"] = jsonDouble(res.wallMs);
-    JsonValue results;
-    results.kind = JsonValue::Kind::Array;
-    for (const std::string &row : res.grid.rows())
-        for (const std::string &series : res.grid.series(row)) {
-            JsonValue cell;
-            cell.kind = JsonValue::Kind::Object;
-            cell.object["row"] = jsonStr(row);
-            cell.object["series"] = jsonStr(series);
-            cell.object["metrics"] =
-                metricsJson(res.grid.at(row, series));
-            results.array.push_back(std::move(cell));
-        }
-    reply.object["results"] = std::move(results);
     conn->pipe.writeFrame(reply);
 }
 

@@ -13,9 +13,9 @@
  *   ← {"id":N,"type":"result","hit":B,"deduped":B,"metrics":{...}}
  *   ← {"type":"progress","done":D,"total":T,"hits":H}   (per connection)
  *   → {"id":N,"type":"scenario","scenario":{...}}       (whole scenario)
- *   ← {"id":N,"type":"sweep","name":S,"threads":T,"simulations":N,
+ *   ← {"id":N,"type":"sweep","sweep":S,"threads":T,"simulations":N,
  *      "cacheHits":H,"wall_ms":W,"results":[{"row":R,"series":S,
- *      "metrics":{...}},...]}
+ *      "metrics":{...}},...]}           (the `--json` report + frame)
  *   → {"id":N,"type":"lookup","key":"<64-hex>"}         (cache probe)
  *   ← {"id":N,"type":"lookup","found":B,"metrics":{...}} (if found)
  *   → {"id":N,"type":"ping"}       ← {"id":N,"type":"pong","version":V}
@@ -71,8 +71,10 @@ struct ServerImpl;
  *  v3 added `scenario` (whole-scenario submission) and `lookup`
  *  (cache peer probe) requests, the `drained` field on the shutdown
  *  reply, and the `workers` array in stats; v1/v2 clients are
- *  unaffected — every v2 frame behaves exactly as before. */
-inline constexpr int kServeProtocolVersion = 3;
+ *  unaffected — every v2 frame behaves exactly as before.  v4 makes
+ *  the `sweep` reply the `--json` report format (`sweep` replaces
+ *  `name`; `wall_ms` has 3 decimals). */
+inline constexpr int kServeProtocolVersion = 4;
 
 /** `ltp serve` configuration. */
 struct ServeOptions

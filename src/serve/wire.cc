@@ -278,16 +278,6 @@ jsonBool(bool b)
 }
 
 JsonValue
-jsonDouble(double d)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.num = d;
-    v.str = jsonNum(d);
-    return v;
-}
-
-JsonValue
 objectFrame(const std::string &type)
 {
     JsonValue frame;
@@ -325,39 +315,25 @@ errorFrame(std::uint64_t id, const std::string &message)
 std::uint64_t
 frameU64(const JsonValue &obj, const std::string &key)
 {
-    auto it = obj.object.find(key);
-    if (it == obj.object.end() || !it->second.isNumber())
-        throw std::runtime_error("frame missing numeric '" + key + "'");
+    const std::string &lexeme =
+        jsonField(obj, key, JsonValue::Kind::Number).str;
     std::uint64_t out = 0;
-    if (!u64FromLexeme(it->second.str, &out))
+    if (!u64FromLexeme(lexeme, &out))
         throw std::runtime_error("frame field '" + key +
-                                 "' is not an exact u64: " +
-                                 it->second.str);
+                                 "' is not an exact u64: " + lexeme);
     return out;
 }
 
 std::string
 frameStr(const JsonValue &obj, const std::string &key)
 {
-    auto it = obj.object.find(key);
-    if (it == obj.object.end() || !it->second.isString())
-        throw std::runtime_error("frame missing string '" + key + "'");
-    return it->second.str;
+    return jsonField(obj, key, JsonValue::Kind::String).str;
 }
 
 const JsonValue &
 frameObject(const JsonValue &obj, const std::string &key)
 {
-    auto it = obj.object.find(key);
-    if (it == obj.object.end() || !it->second.isObject())
-        throw std::runtime_error("frame missing object '" + key + "'");
-    return it->second;
-}
-
-Metrics
-frameMetrics(const JsonValue &obj, const std::string &key)
-{
-    return metricsFromJson(writeJsonCompact(frameObject(obj, key)));
+    return jsonField(obj, key, JsonValue::Kind::Object);
 }
 
 JsonValue

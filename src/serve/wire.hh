@@ -118,7 +118,6 @@ JsonValue jsonStr(const std::string &s);
 /** Exact integer (lexeme kept, so u64FromLexeme round-trips). */
 JsonValue jsonU64(std::uint64_t n);
 JsonValue jsonBool(bool b);
-JsonValue jsonDouble(double v);
 
 /** `{"type":<type>}` — a request before call() stamps its id. */
 JsonValue objectFrame(const std::string &type);
@@ -134,7 +133,6 @@ JsonValue progressFrame(std::uint64_t done, std::uint64_t total,
 std::uint64_t frameU64(const JsonValue &obj, const std::string &key);
 std::string frameStr(const JsonValue &obj, const std::string &key);
 const JsonValue &frameObject(const JsonValue &obj, const std::string &key);
-Metrics frameMetrics(const JsonValue &obj, const std::string &key);
 
 JsonValue metricsJson(const Metrics &m);
 /** `{"funcWarm":F,"pipeWarm":P,"detail":D}` */

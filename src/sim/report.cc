@@ -155,7 +155,12 @@ metricsToJson(const Metrics &m, int indent)
 Metrics
 metricsFromJson(const std::string &json)
 {
-    JsonValue root = parseJson(json);
+    return metricsFromJson(parseJson(json));
+}
+
+Metrics
+metricsFromJson(const JsonValue &root)
+{
     if (root.kind != JsonValue::Kind::Object)
         throw std::runtime_error("metricsFromJson: not a JSON object");
 
@@ -285,6 +290,31 @@ reportToJson(const SweepResult &result)
     return out;
 }
 
+JsonValue
+sweepResultToJson(const SweepResult &result)
+{
+    return parseJson(reportToJson(result));
+}
+
+SweepResult
+sweepResultFromJson(const JsonValue &v)
+{
+    using Kind = JsonValue::Kind;
+    SweepResult out;
+    out.name = jsonField(v, "sweep", Kind::String).str;
+    out.threads = int(jsonField(v, "threads", Kind::Number).num);
+    out.simulations =
+        std::size_t(jsonField(v, "simulations", Kind::Number).num);
+    out.wallMs = jsonField(v, "wall_ms", Kind::Number).num;
+    for (const JsonValue &cell :
+         jsonField(v, "results", Kind::Array).array)
+        out.grid.put(jsonField(cell, "row", Kind::String).str,
+                     jsonField(cell, "series", Kind::String).str,
+                     metricsFromJson(
+                         jsonField(cell, "metrics", Kind::Object)));
+    return out;
+}
+
 namespace {
 
 /** RFC 4180 quoting for fields that contain a delimiter. */
@@ -311,14 +341,11 @@ reportToCsv(const SweepResult &result)
     // Per-thread breakdowns ride along as semicolon-joined lists in
     // tid order, so the table stays rectangular whatever mix of
     // single-threaded and SMT cells a sweep produces.
-    auto joinThreads = [](const Metrics &m, auto &&field) {
-        std::string out;
-        for (std::size_t i = 0; i < m.threads.size(); ++i) {
-            if (i)
-                out += ';';
-            out += field(m.threads[i]);
-        }
-        return out;
+    auto joinThreads = [](const Metrics &m, auto field) {
+        std::ostringstream out;
+        for (std::size_t i = 0; i < m.threads.size(); ++i)
+            out << (i ? ";" : "") << m.threads[i].*field;
+        return out.str();
     };
     std::ostringstream out;
     out << "row,series,config,workload,insts,cycles,ipc,cpi,"
@@ -337,27 +364,10 @@ reportToCsv(const SweepResult &result)
                 << m.iqOcc << ',' << m.rfOcc << ',' << m.ltpOcc << ','
                 << m.parkedFrac << ',' << m.ed2p << ',' << m.edp << ','
                 << m.threads.size() << ','
-                << csvField(joinThreads(
-                       m, [](const ThreadMetrics &t) {
-                           return t.workload;
-                       }))
-                << ','
-                << joinThreads(m,
-                               [](const ThreadMetrics &t) {
-                                   return std::to_string(t.insts);
-                               })
-                << ','
-                << joinThreads(m,
-                               [](const ThreadMetrics &t) {
-                                   return std::to_string(t.cycles);
-                               })
-                << ','
-                << joinThreads(m,
-                               [](const ThreadMetrics &t) {
-                                   std::ostringstream v;
-                                   v << t.ipc;
-                                   return v.str();
-                               })
+                << csvField(joinThreads(m, &ThreadMetrics::workload))
+                << ',' << joinThreads(m, &ThreadMetrics::insts) << ','
+                << joinThreads(m, &ThreadMetrics::cycles) << ','
+                << joinThreads(m, &ThreadMetrics::ipc)
                 << ',' << m.weightedSpeedup << ','
                 << m.sampling.samples << ',';
             // Empty CI field = unavailable (non-sampled row, or a

@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "common/json.hh"
 #include "sim/metrics.hh"
 #include "sim/runner.hh"
 
@@ -28,11 +29,27 @@ std::string metricsToJson(const Metrics &m, int indent = 0);
  */
 Metrics metricsFromJson(const std::string &json);
 
+/** metricsFromJson of an already-parsed object. */
+Metrics metricsFromJson(const JsonValue &root);
+
 /**
- * Serialize a whole sweep: name, shard/thread counts, wall-clock, and
- * every (row, series) cell's Metrics.
+ * Serialize a whole sweep — `sweep` (its name), `threads`,
+ * `simulations`, `wall_ms` and a `results` array of
+ * `{row, series, metrics}` cells — as the indented `--json` report.
+ * The one writer of the sweep-result format: the serve `sweep` reply
+ * is this report plus its frame fields.
  */
 std::string reportToJson(const SweepResult &result);
+
+/** The sweep-result format as a value tree (for wire frames). */
+JsonValue sweepResultToJson(const SweepResult &result);
+
+/**
+ * The one reader of the sweep-result format (a `--json` report or a
+ * serve `sweep` reply); `backend` and `cacheHits` keep their defaults.
+ * @throws std::runtime_error naming a missing or mistyped field.
+ */
+SweepResult sweepResultFromJson(const JsonValue &v);
 
 /** Flat CSV: row, series, then one column per Metrics field. */
 std::string reportToCsv(const SweepResult &result);

@@ -41,27 +41,19 @@ CacheEntryInfo
 parseEntry(const std::string &key, const std::string &text,
            Metrics *metrics_out)
 {
+    using Kind = JsonValue::Kind;
     JsonValue root = parseJson(text);
-    if (!root.isObject())
-        throw std::runtime_error("entry is not a JSON object");
-    auto field = [&](const char *name) -> const JsonValue & {
-        auto it = root.object.find(name);
-        if (it == root.object.end())
-            throw std::runtime_error(std::string("missing field '") +
-                                     name + "'");
-        return it->second;
-    };
-    if (std::uint64_t(field("cacheSchema").num) !=
+    if (std::uint64_t(jsonField(root, "cacheSchema", Kind::Number).num) !=
         std::uint64_t(kCacheSchemaVersion))
         throw std::runtime_error("cacheSchema version mismatch");
-    if (field("key").str != key)
+    if (jsonField(root, "key", Kind::String).str != key)
         throw std::runtime_error("stored key disagrees with file name");
 
     CacheEntryInfo info;
     info.key = key;
-    info.config = field("config").str;
-    info.workload = field("workload").str;
-    const JsonValue &lengths = field("lengths");
+    info.config = jsonField(root, "config", Kind::String).str;
+    info.workload = jsonField(root, "workload", Kind::String).str;
+    const JsonValue &lengths = jsonField(root, "lengths", Kind::Object);
     auto u64of = [&](const char *name) {
         auto it = lengths.object.find(name);
         return it == lengths.object.end()
@@ -74,7 +66,7 @@ parseEntry(const std::string &key, const std::string &text,
 
     // metricsFromJson re-checks the embedded schemaVersion and throws
     // on anything newer than this reader.
-    Metrics m = metricsFromJson(writeJson(field("metrics")));
+    Metrics m = metricsFromJson(jsonField(root, "metrics", Kind::Object));
     if (metrics_out)
         *metrics_out = m;
     info.valid = true;

@@ -102,7 +102,6 @@ SimSpeedReport::toJson() const
     };
     emitCells("kernels", kernelCells);
     emitCells("scenarios", scenarioCells);
-    emitCells("report_only_scenarios", reportOnlyCells);
     out << "  \"total\": {\"detailed_insts\": " << totalInsts
         << ", \"wall_ms\": " << jsonNum(totalWallMs)
         << ", \"kips\": " << jsonNum(totalKips) << "}\n";
@@ -179,10 +178,6 @@ runSimSpeedBench(const SimSpeedOptions &opts)
     };
     for (const std::string &path : opts.scenarios)
         report.scenarioCells.push_back(timeScenario(path));
-    // Report-only cells are measured identically but stay out of the
-    // gated total below.
-    for (const std::string &path : opts.reportOnlyScenarios)
-        report.reportOnlyCells.push_back(timeScenario(path));
 
     for (const auto &cells :
          {report.kernelCells, report.scenarioCells}) {

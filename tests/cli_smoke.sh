@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the result cache and the `ltp serve` daemon,
-# driven through the `ltp` CLI the way a user runs it:
+# End-to-end smoke of the `ltp` driver — result cache, `ltp serve`,
+# replay, SMT, scenarios, checkpoints — run the way a user runs it:
 #
 #   1. cache        cold vs warm fig6_iq_quick sweep: byte-identical
 #                   reports (modulo wall_ms), every warm cell a hit, the
@@ -15,8 +15,14 @@
 #                   under baseline and ltpProposal NR+NU: replayed
 #                   Metrics bit-identical to executed ones.
 #   5. smt          the smt_pairs sweep, plus explicit roundRobin and
-#                   icount runs of one pair.
-#   6. config       a zero width or FU count exits 1 naming the field.
+#                   icount runs of one pair, each simulated (uncached).
+#   6. config       a zero width or FU count, or a malformed numeric
+#                   flag, exits 1 naming the field or flag.
+#   7. scenarios    driver self-checks, then the traces replay_example
+#                   replays are recorded and every scenario file runs
+#                   through `ltp sweep` at quick staging.
+#   8. checkpoint   `checkpoint create|ls|verify`, and a sample from
+#                   the checkpoint equals one that fast-forwards fresh.
 #
 # Daemons listen on ephemeral ports (--port=0, read back from their
 # "listening on port" line); caches and reports live in a temporary
@@ -161,18 +167,20 @@ echo "== 4. record and replay: Metrics bit-identity"
 echo "== 5. SMT pairs, both fetch policies"
 # The scenario's own sweep covers roundRobin and icount; the explicit
 # --set runs pin each policy end to end as well, so a policy-specific
-# regression cannot hide behind the other series.
+# regression cannot hide behind the other series.  They bypass the
+# cache the sweep just filled, so each one really simulates.
 "$LTP" sweep "$SCENARIOS/smt_pairs.json" --progress \
     --warm=4000 --pipewarm=800 --detail=2000 --threads=2 \
     --json=BENCH_smt_pairs.json --csv=BENCH_smt_pairs.csv
-"$LTP" run --preset=ltpProposal --mode=NR+NU \
-    --kernel=smt:graph_walk+dense_compute \
-    --set core.fetchPolicy=roundRobin \
-    --warm=4000 --pipewarm=800 --detail=2000
-"$LTP" run --preset=ltpProposal --mode=NR+NU \
-    --kernel=smt:graph_walk+dense_compute \
-    --set core.fetchPolicy=icount \
-    --warm=4000 --pipewarm=800 --detail=2000
+for policy in roundRobin icount; do
+    "$LTP" run --preset=ltpProposal --mode=NR+NU --no-cache \
+        --kernel=smt:graph_walk+dense_compute \
+        --set core.fetchPolicy=$policy \
+        --warm=4000 --pipewarm=800 --detail=2000 >smt.log 2>&1
+    cat smt.log
+    ! grep -q "answered from cache" smt.log ||
+        fail "$policy run was answered from the cache"
+done
 
 echo "== 6. invalid config values"
 for bad in core.fu.ld=0 core.commitWidth=0; do
@@ -182,5 +190,50 @@ for bad in core.fu.ld=0 core.commitWidth=0; do
     [ "$status" -eq 1 ] || fail "--set $bad exited $status"
     grep -q "${bad%=*}" bad.log || fail "--set $bad error does not name it"
 done
+for bad in detail=2k seed=abc detail=0100; do
+    status=0
+    "$LTP" run --kernel=linked_list "--$bad" 2>bad.log || status=$?
+    cat bad.log
+    [ "$status" -eq 1 ] || fail "--$bad exited $status"
+    grep -q -- "--${bad%=*}" bad.log || fail "--$bad error does not name it"
+done
+
+echo "== 7. every scenario file through ltp sweep"
+"$LTP" --help >/dev/null
+"$LTP" sweep --help >/dev/null
+"$LTP" list-kernels
+"$LTP" print-config baseline
+"$LTP" print-config --paths
+# A private copy, so the traces replay_example.json replays (resolved
+# next to the file) are recorded outside the source tree.
+cp -r "$SCENARIOS" scenarios
+"$LTP" record paper_loop,graph_walk --out scenarios/traces \
+    --warm=4000 --pipewarm=800 --detail=2000 --seed=1
+for f in scenarios/*.json; do
+    name=$(basename "$f" .json)
+    echo "-- $name"
+    "$LTP" sweep "$f" --progress --no-cache \
+        --warm=4000 --pipewarm=800 --detail=2000 --threads=2 \
+        --json="BENCH_scenario_${name}.json"
+done
+
+echo "== 8. checkpoints"
+"$LTP" checkpoint create --kernel=graph_walk \
+    --at=500000 --out=graph_walk.ltcp
+"$LTP" checkpoint ls --file=graph_walk.ltcp
+"$LTP" checkpoint verify --file=graph_walk.ltcp
+# A sample measured from the checkpoint must agree with paying the
+# same 510000-op fast-forward in-process: the restored run starts at
+# 500000 and fast-forwards 10000 more, the fresh run fast-forwards
+# 510000 from zero, so both measure the identical window.
+"$LTP" sample graph_walk --from=graph_walk.ltcp \
+    --samples=1 --sample-ff=10000 --sample-warmup=1000 \
+    --sample-detail=3000 --no-cache | tee from_ckpt.txt
+"$LTP" sample graph_walk \
+    --samples=1 --sample-ff=510000 --sample-warmup=1000 \
+    --sample-detail=3000 --no-cache | tee fresh.txt
+diff <(grep 'graph_walk' from_ckpt.txt | awk -F'|' '{print $3, $4, $5}') \
+     <(grep 'graph_walk' fresh.txt | awk -F'|' '{print $3, $4, $5}') ||
+    fail "sample from the checkpoint differs from a fresh fast-forward"
 
 echo "cli smoke: all checks passed"

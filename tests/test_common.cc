@@ -228,7 +228,7 @@ TEST(Table, NumberFormatting)
 TEST(Cli, ParsesForms)
 {
     const char *argv[] = {"prog", "--alpha=3", "--beta", "7", "--gamma"};
-    Cli cli(5, const_cast<char **>(argv), {"alpha", "beta", "gamma"});
+    Cli cli(5, const_cast<char **>(argv), {{"alpha", "beta", "gamma"}});
     EXPECT_EQ(cli.integer("alpha", 0), 3);
     EXPECT_EQ(cli.integer("beta", 0), 7);
     EXPECT_TRUE(cli.flag("gamma"));
@@ -240,7 +240,7 @@ TEST(Cli, RepeatedFlagsCollectInOrder)
 {
     const char *argv[] = {"prog", "--set=a=1", "--set", "b=2",
                           "--set=c=3"};
-    Cli cli(5, const_cast<char **>(argv), {"set"});
+    Cli cli(5, const_cast<char **>(argv), {{"set"}});
     EXPECT_EQ(cli.list("set"),
               (std::vector<std::string>{"a=1", "b=2", "c=3"}));
     // The scalar accessor sees the last occurrence.
@@ -253,7 +253,7 @@ TEST(CliDeathTest, HelpPrintsKnownFlagsAndExitsZero)
     const char *argv[] = {"prog", "--help"};
     EXPECT_EXIT(
         {
-            Cli cli(2, const_cast<char **>(argv), {"alpha", "beta"});
+            Cli cli(2, const_cast<char **>(argv), {{"alpha", "beta"}});
         },
         ::testing::ExitedWithCode(0), "");
 }
@@ -263,9 +263,100 @@ TEST(CliDeathTest, UnknownFlagStaysFatal)
     const char *argv[] = {"prog", "--alhpa=3"};
     EXPECT_EXIT(
         {
-            Cli cli(2, const_cast<char **>(argv), {"alpha"});
+            Cli cli(2, const_cast<char **>(argv), {{"alpha"}});
         },
         ::testing::ExitedWithCode(1), "unknown flag --alhpa");
+}
+
+TEST(Cli, NumericFormsParseInFull)
+{
+    const char *argv[] = {"prog", "--a=-12", "--b=0x10", "--c=2.5e3",
+                          "--d=7", "--e=0", "--f=-0x1F"};
+    Cli cli(7, const_cast<char **>(argv),
+            {{"a", "b", "c", "d", "e", "f"}});
+    EXPECT_EQ(cli.integer("a", 0), -12);
+    EXPECT_EQ(cli.integer("b", 0), 16);
+    EXPECT_EQ(cli.integer("e", 7), 0);
+    EXPECT_EQ(cli.integer("f", 0), -31);
+    EXPECT_DOUBLE_EQ(cli.real("c", 0.0), 2500.0);
+    EXPECT_DOUBLE_EQ(cli.real("d", 0.0), 7.0);
+}
+
+TEST(CliDeathTest, MalformedNumbersAreFatalAndNameTheFlag)
+{
+    struct Case
+    {
+        const char *arg;
+        bool real;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"--detail=2k", false, "--detail expects an integer, got '2k'"},
+        {"--seed=abc", false, "--seed expects an integer, got 'abc'"},
+        {"--detail=", false, "--detail expects an integer"},
+        {"--detail=1.5", false, "--detail expects an integer"},
+        // strtoll base 0 would read these as octal 64 and 8 (and
+        // reject 08); a leading zero is an error instead.
+        {"--detail=0100", false, "--detail expects an integer, got '0100'"},
+        {"--seed=010", false, "--seed expects an integer, got '010'"},
+        {"--seed=08", false, "--seed expects an integer, got '08'"},
+        {"--detail= 5", false, "--detail expects an integer"},
+        {"--detail=0x", false, "--detail expects an integer"},
+        {"--detail=99999999999999999999", false,
+         "--detail expects an integer"},
+        {"--rtol=0.1x", true, "--rtol expects a number, got '0.1x'"},
+        {"--rtol=nan", true, "--rtol expects a number"},
+    };
+    for (const Case &c : cases) {
+        const char *argv[] = {"prog", c.arg};
+        Cli cli(2, const_cast<char **>(argv), {{"detail", "seed", "rtol"}});
+        std::string key = std::string(c.arg).substr(
+            2, std::string(c.arg).find('=') - 2);
+        if (c.real)
+            EXPECT_EXIT(cli.real(key, 0.0), ::testing::ExitedWithCode(1),
+                        c.message)
+                << c.arg;
+        else
+            EXPECT_EXIT(cli.integer(key, 0), ::testing::ExitedWithCode(1),
+                        c.message)
+                << c.arg;
+    }
+}
+
+TEST(Cli, SwitchesAndOnePositional)
+{
+    // A switch never takes the next token, so `--verify dir` leaves
+    // the positional alone; a value flag still does.
+    const char *argv[] = {"prog", "--verify", "traces", "--mode", "NU"};
+    CliSpec spec{{"mode"}, {"verify"}, Positional::Required, "<dir>", ""};
+    Cli cli(5, const_cast<char **>(argv), spec);
+    EXPECT_TRUE(cli.flag("verify"));
+    EXPECT_EQ(cli.positional(), "traces");
+    EXPECT_EQ(cli.str("mode", ""), "NU");
+
+    const char *off[] = {"prog", "--verify=0"};
+    spec.positional = Positional::Optional;
+    Cli quiet(2, const_cast<char **>(off), spec);
+    EXPECT_FALSE(quiet.flag("verify"));
+    EXPECT_EQ(quiet.positional(), "");
+}
+
+TEST(CliDeathTest, PositionalArityIsEnforced)
+{
+    CliSpec none{{"mode"}, {}, Positional::None, "", ""};
+    const char *stray[] = {"prog", "extra"};
+    EXPECT_EXIT(Cli(2, const_cast<char **>(stray), none),
+                ::testing::ExitedWithCode(1),
+                "unexpected positional argument 'extra'");
+
+    CliSpec one{{"mode"}, {}, Positional::Required, "<file>", ""};
+    const char *two[] = {"prog", "a", "b"};
+    EXPECT_EXIT(Cli(3, const_cast<char **>(two), one),
+                ::testing::ExitedWithCode(1),
+                "unexpected extra argument 'b' \\(already got 'a'\\)");
+    const char *missing[] = {"prog", "--mode=NU"};
+    EXPECT_EXIT(Cli(2, const_cast<char **>(missing), one),
+                ::testing::ExitedWithCode(1), "prog needs <file>");
 }
 
 TEST(Logging, Strprintf)

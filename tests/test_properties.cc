@@ -462,8 +462,8 @@ observe(Simulator &sim)
         core.stats(tid).forEachCounter(add);
         LtpQueue &q = core.ltpQueue(tid);
         for (const Counter *c :
-             {&q.pushes, &q.pops, &q.camExtractions, &q.insertPortStalls,
-              &q.extractPortStalls, &q.fullStalls, &core.uit(tid).lookups,
+             {&q.pushes, &q.pops, &q.camExtractions, &q.fullStalls,
+              &core.uit(tid).lookups,
               &core.uit(tid).hits, &core.uit(tid).inserts,
               &core.uit(tid).conflictEvictions,
               &core.llpred(tid).predictions, &core.llpred(tid).correct,

@@ -322,5 +322,48 @@ TEST(Report, SweepReportContainsEveryCell)
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);
 }
 
+TEST(Report, SweepResultCodecRoundTrips)
+{
+    SweepResult result;
+    result.name = "mini";
+    result.threads = 3;
+    result.simulations = 2;
+    result.wallMs = 12.5;
+    result.grid.put("r1", "s1", distinctiveMetrics());
+    result.grid.put("r2", "s2", distinctiveMetrics());
+
+    SweepResult back = sweepResultFromJson(sweepResultToJson(result));
+    EXPECT_EQ(back.name, "mini");
+    EXPECT_EQ(back.threads, 3);
+    EXPECT_EQ(back.simulations, 2u);
+    EXPECT_EQ(back.wallMs, 12.5);
+    EXPECT_EQ(reportToJson(back), reportToJson(result));
+}
+
+TEST(Report, SweepResultCodecNamesTheBadField)
+{
+    auto error = [](const std::string &text) {
+        try {
+            sweepResultFromJson(parseJson(text));
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_NE(error("[]").find("'sweep'"), std::string::npos);
+    EXPECT_NE(error(R"({"threads":1,"simulations":0,"wall_ms":0,
+                        "results":[]})")
+                  .find("'sweep'"),
+              std::string::npos);
+    EXPECT_NE(error(R"({"sweep":"x","threads":1,"simulations":0,
+                        "wall_ms":0,"results":{}})")
+                  .find("'results'"),
+              std::string::npos);
+    EXPECT_NE(error(R"({"sweep":"x","threads":1,"simulations":1,
+                        "wall_ms":0,"results":[{"row":"r","series":"s"}]})")
+                  .find("'metrics'"),
+              std::string::npos);
+}
+
 } // namespace
 } // namespace ltp

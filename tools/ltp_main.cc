@@ -5,18 +5,11 @@
  * (presets + dotted --set overrides), and whole studies ship as JSON
  * scenario files compiled onto the sharded Runner.
  *
- *   ltp run [--preset=... --mode=... --kernel=a,b --set core.iq=32 ...]
- *   ltp sweep <scenario.json> [--threads=N --progress --json=... --csv=...]
- *   ltp bench [--quick --scenario=f.json --baseline=f.json --check]
- *   ltp record <kernel|scenario.json|all> --out=dir [--seed=N ...]
- *   ltp replay <trace.lttr|dir> [--verify --preset=... --set ...]
- *   ltp list-kernels
- *   ltp classify [--seed=N --threads=N ...]
- *   ltp print-config <preset> [--mode=... --set k=v ...] | --paths
- *
- * All simulation commands take --warm/--pipewarm/--detail staging
- * overrides, --seed, --threads=N (0 = all cores), --json=… and --csv=…
- * result archiving, and --help.
+ * Every subcommand is one entry of kCommands at the bottom of this
+ * file — name, positional, own flags, help and handler — and every
+ * command also accepts the kShared flags.  `ltp --help` and
+ * `ltp <command> --help` are generated from those two tables, and
+ * main() is the one place a failure becomes a `fatal:` line.
  */
 
 #include <algorithm>
@@ -64,61 +57,32 @@ using namespace ltp;
 
 namespace {
 
-int
-usage(int status)
+/** A flag every command accepts; commands with no use for one simply
+ *  never read it, so a flag learned on one command works on all. */
+struct SharedFlag
 {
-    std::printf(
-        "ltp — declarative LTP experiment driver\n"
-        "\n"
-        "usage: ltp <command> [args] [--flags]\n"
-        "\n"
-        "commands:\n"
-        "  run            simulate one config over one or more kernels\n"
-        "  sweep <file>   compile and run a JSON scenario file, then\n"
-        "                 print its claims' values and PASS/FAIL\n"
-        "                 (--progress prints a cells-done heartbeat;\n"
-        "                 --submit ships the whole scenario to an\n"
-        "                 `ltp serve` daemon in one request instead)\n"
-        "  bench          measure simulator throughput (kIPS) over\n"
-        "                 kernels and scenarios -> BENCH_simspeed.json;\n"
-        "                 --baseline=<file> --check gates regressions\n"
-        "  record <what>  record .lttr traces (a kernel list, a\n"
-        "                 scenario file, or 'all') into --out=<dir>\n"
-        "  replay <path>  replay .lttr traces (a file or directory);\n"
-        "                 --verify re-executes and diffs the Metrics\n"
-        "  sample <kernel>  interval-sampled simulation: repeating\n"
-        "                 fast-forward/warmup/detail periods, mean IPC\n"
-        "                 with a 95%% confidence interval; `ltp sample\n"
-        "                 compare --full=a.json --sampled=b.json` gates\n"
-        "                 a sampled report against a full-detail one\n"
-        "  checkpoint <create|ls|verify>   architectural .ltcp\n"
-        "                 checkpoints (fast-forwarded register/predictor/\n"
-        "                 cache state) for `ltp sample --from=<file>`\n"
-        "  list-kernels   print the registered kernel suite\n"
-        "  classify       Section 4.1 MLP-sensitivity classification\n"
-        "  print-config <preset>   print a preset's config as JSON\n"
-        "  cache <ls|stat|gc|clear>   inspect / prune the result cache\n"
-        "  serve [ping|stats|stop]    run (or control) the cell daemon;\n"
-        "                 repeatable --worker=host:port (or a\n"
-        "                 --workers=<file> list) makes the daemon a\n"
-        "                 distributed frontend over remote workers\n"
-        "\n"
-        "every command accepts --help and the shared global flags:\n"
-        "--warm/--pipewarm/--detail staging, --seed, --threads=N\n"
-        "(0 = all cores), --json/--csv result archiving, repeatable\n"
-        "--set <dotted.path>=<value> config overrides (see `ltp\n"
-        "print-config --paths`), and the execution-backend flags:\n"
-        "  --no-cache          bypass the content-addressed result cache\n"
-        "  --cache-dir=<dir>   cache root (default $LTP_CACHE_DIR or\n"
-        "                      ~/.cache/ltp)\n"
-        "  --backend=local|serve   where cells run (default local)\n"
-        "  --server=host:port  serve daemon address (implies\n"
-        "                      --backend=serve; default 127.0.0.1:%d)\n"
-        "  --server-timeout=<ms>  max server silence per request\n"
-        "                      before the sweep fails (default 300000)\n",
-        kDefaultServePort);
-    return status;
-}
+    const char *name;
+    bool isSwitch;
+    const char *help;
+};
+
+const std::vector<SharedFlag> kShared = {
+    {"warm", false, "functional warm-up instructions (staging)"},
+    {"pipewarm", false, "pipeline warm-up instructions (staging)"},
+    {"detail", false, "measured detailed instructions (staging)"},
+    {"seed", false, "workload seed"},
+    {"threads", false, "worker threads (0 = all cores)"},
+    {"set", false, "<dotted.path>=<value> config override, repeatable"},
+    {"json", false, "write the results as JSON (1 = BENCH_<name>.json)"},
+    {"csv", false, "write the results as CSV (1 = BENCH_<name>.csv)"},
+    {"no-cache", true, "bypass the content-addressed result cache"},
+    {"cache-dir", false, "cache root (default $LTP_CACHE_DIR or "
+                         "~/.cache/ltp)"},
+    {"server", false, "run cells on the `ltp serve` daemon at "
+                      "host[:port=7461]"},
+    {"server-timeout", false, "max daemon silence per request, ms "
+                              "(default 300000)"},
+};
 
 /** Apply the --warm/--pipewarm/--detail staging flags onto @p dflt. */
 RunLengths
@@ -131,7 +95,7 @@ stagingLengths(const Cli &cli, const RunLengths &dflt)
     return lengths;
 }
 
-/** Apply every --set key=value onto @p cfg; fatal on bad paths. */
+/** Apply every --set key=value onto @p cfg. */
 void
 applySets(SimConfig &cfg, const Cli &cli)
 {
@@ -140,113 +104,78 @@ applySets(SimConfig &cfg, const Cli &cli)
         if (eq == std::string::npos)
             fatal("--set needs <dotted.path>=<value>, got '%s'",
                   kv.c_str());
-        try {
-            applyOverride(cfg, kv.substr(0, eq), kv.substr(eq + 1));
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        applyOverride(cfg, kv.substr(0, eq), kv.substr(eq + 1));
     }
 }
 
-/** Build a preset by name, with optional --mode. */
+/** The config @p preset with --mode, then --seed, then every --set
+ *  (so `--set seed=N` wins over --seed). */
 SimConfig
-presetConfig(const std::string &preset, const Cli &cli)
+configFromCli(const Cli &cli, const std::string &preset)
 {
     bool has_mode = cli.has("mode");
-    LtpMode mode = LtpMode::NU;
-    if (has_mode) {
-        try {
-            mode = parseLtpMode(cli.str("mode", ""), "--mode");
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
-    }
+    LtpMode mode = has_mode ? parseLtpMode(cli.str("mode", ""), "--mode")
+                            : LtpMode::NU;
+    SimConfig cfg;
     if (preset == "baseline")
-        return SimConfig::baseline();
-    if (preset == "ltpProposal")
-        return SimConfig::ltpProposal(mode);
-    if (preset == "limitStudy") {
-        if (!has_mode)
-            fatal("preset limitStudy requires --mode=off|NU|NR|NR+NU");
-        return SimConfig::limitStudy(mode);
-    }
-    fatal("unknown preset '%s' (expected "
-          "baseline|ltpProposal|limitStudy)",
-          preset.c_str());
+        cfg = SimConfig::baseline();
+    else if (preset == "ltpProposal")
+        cfg = SimConfig::ltpProposal(mode);
+    else if (preset == "limitStudy" && has_mode)
+        cfg = SimConfig::limitStudy(mode);
+    else if (preset == "limitStudy")
+        fatal("preset limitStudy requires --mode=off|NU|NR|NR+NU");
+    else
+        fatal("unknown preset '%s' (expected "
+              "baseline|ltpProposal|limitStudy)",
+              preset.c_str());
+    cfg.seed = std::uint64_t(cli.integer("seed", 1));
+    applySets(cfg, cli);
+    return cfg;
 }
 
 /** The `ltp serve` client --server/--server-timeout select; @p port
- *  is the default when --server names none.  fatal on failure. */
+ *  is the default when --server names none. */
 std::shared_ptr<ServeBackend>
 serveClient(const Cli &cli, int port = kDefaultServePort)
 {
     std::string host = "127.0.0.1";
-    try {
-        parseHostPort(cli.str("server", ""), &host, &port);
-        ServeClientOptions topts;
-        topts.replyTimeoutMs =
-            int(cli.integer("server-timeout", topts.replyTimeoutMs));
-        return std::make_shared<ServeBackend>(host, port, topts);
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
+    parseHostPort(cli.str("server", ""), &host, &port);
+    ServeClientOptions topts;
+    topts.replyTimeoutMs =
+        int(cli.integer("server-timeout", topts.replyTimeoutMs));
+    return std::make_shared<ServeBackend>(host, port, topts);
 }
 
 /**
  * The execution backend the shared flags select: an `ltp serve` client
- * (--backend=serve / --server=...), the cache-wrapped local backend
- * (the default — sweeps are answered from ~/.cache/ltp when the exact
- * cell was run before), or the bare local backend (--no-cache).
- * Returning nullptr lets the Runner use its zero-overhead default.
+ * (--server=...), the cache-wrapped local backend (the default —
+ * sweeps are answered from ~/.cache/ltp when the exact cell was run
+ * before), or the bare local backend (--no-cache).  Returning nullptr
+ * lets the Runner use its zero-overhead default.
  */
 ExecBackendPtr
 makeBackend(const Cli &cli)
 {
-    std::string kind =
-        cli.str("backend", cli.has("server") ? "serve" : "local");
-    if (kind == "serve")
+    if (cli.has("server"))
         return serveClient(cli);
-    if (kind != "local")
-        fatal("unknown --backend '%s' (expected local|serve)",
-              kind.c_str());
     if (cli.flag("no-cache"))
         return nullptr;
-    try {
-        return std::make_shared<CachedBackend>(
-            LocalBackend::instance(),
-            std::make_shared<ResultCache>(cli.str("cache-dir", "")));
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
+    return std::make_shared<CachedBackend>(
+        LocalBackend::instance(),
+        std::make_shared<ResultCache>(cli.str("cache-dir", "")));
 }
 
-/** Runner::run, dying through fatal on a failed cell (a served cell's
- *  `serve error:` reply, a lost daemon) instead of aborting. */
-SweepResult
-runSweep(Runner &&runner, const SweepSpec &spec,
-         ProgressFn progress = nullptr)
-{
-    try {
-        return runner.run(spec, std::move(progress));
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
-}
-
-/** One stderr line of cache effectiveness for non-local backends. */
+/** The end of every sweep-running command: one stderr line of cache
+ *  effectiveness for non-local backends, then the --json/--csv files. */
 void
-printBackendSummary(const SweepResult &result)
+finishSweep(const Cli &cli, const SweepResult &result)
 {
     if (result.backend != "local")
         std::fprintf(stderr,
                      "backend %s: %zu/%zu cells answered from cache\n",
                      result.backend.c_str(), result.cacheHits,
                      result.simulations);
-}
-
-void
-maybeArchive(const Cli &cli, const SweepResult &result)
-{
     std::string json = cli.str("json", "");
     if (!json.empty())
         writeJsonReport(result, json);
@@ -338,32 +267,60 @@ progressFn(const Cli &cli, const std::string &name, bool caching)
     };
 }
 
-SamplePlan samplePlanFromCli(const Cli &cli, SamplePlan base);
-std::string readFileText(const std::string &path);
-
-/** Commands without a positional must not silently swallow one. */
-void
-rejectPositional(const std::string &cmd, const std::string &positional)
+/** The sampling plan the shared --samples/--sample-* flags select,
+ *  layered over @p base (a scenario's plan or the defaults). */
+SamplePlan
+samplePlanFromCli(const Cli &cli, SamplePlan base)
 {
-    if (!positional.empty())
-        fatal("ltp %s takes no positional argument, got '%s'",
-              cmd.c_str(), positional.c_str());
+    auto u64 = [&cli](const char *key, std::uint64_t dflt) {
+        return std::uint64_t(cli.integer(key, std::int64_t(dflt)));
+    };
+    base.samples = int(cli.integer("samples", base.samples));
+    base.fastForward = u64("sample-ff", base.fastForward);
+    base.warmup = u64("sample-warmup", base.warmup);
+    base.detail = u64("sample-detail", base.detail);
+    return base;
+}
+
+std::string
+readFileText(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        fatal("cannot open '%s'", path.c_str());
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 std::vector<std::string>
 splitCommas(const std::string &s)
 {
     std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= s.size()) {
-        std::size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
+    std::istringstream in(s);
+    for (std::string part; std::getline(in, part, ',');)
+        if (!part.empty())
+            out.push_back(part);
     return out;
+}
+
+/** One sweep, named "@p what:<config>", of @p cfg over @p kernels at
+ *  the staging flags' lengths, through the backend the flags select. */
+SweepResult
+runKernels(const Cli &cli, const std::string &what, const SimConfig &cfg,
+           const std::vector<std::string> &kernels,
+           const SamplePlan &plan = {})
+{
+    SweepSpec spec;
+    spec.name = what + ":" + cfg.name;
+    spec.lengths = stagingLengths(cli, RunLengths::bench());
+    spec.sampling = plan;
+    for (const std::string &k : kernels)
+        spec.add(k, cfg.name, cfg, k);
+    ExecBackendPtr backend = makeBackend(cli);
+    return Runner(int(cli.integer("threads", 0)), backend)
+        .run(spec, progressFn(cli, spec.name,
+                              backend && backend->wantsKey()));
 }
 
 // ---------------------------------------------------------------------------
@@ -373,24 +330,14 @@ splitCommas(const std::string &s)
 int
 cmdRun(const Cli &cli)
 {
-    SimConfig cfg = presetConfig(cli.str("preset", "baseline"), cli);
-    cfg.seed = cli.integer("seed", 1);
-    applySets(cfg, cli);
+    SimConfig cfg = configFromCli(cli, cli.str("preset", "baseline"));
 
     std::vector<std::string> kernels =
         splitCommas(cli.str("kernel", "paper_loop"));
     if (kernels.empty())
         fatal("--kernel needs at least one kernel name");
 
-    SweepSpec spec;
-    spec.name = "run:" + cfg.name;
-    spec.lengths = stagingLengths(cli, RunLengths::bench());
-    for (const std::string &k : kernels)
-        spec.add(k, cfg.name, cfg, k);
-
-    SweepResult result =
-        runSweep(Runner(int(cli.integer("threads", 0)), makeBackend(cli)),
-                 spec);
+    SweepResult result = runKernels(cli, "run", cfg, kernels);
 
     Table t({"kernel", "IPC", "CPI", "cycles", "parked", "LTP occ"});
     for (const std::string &k : kernels) {
@@ -402,8 +349,7 @@ cmdRun(const Cli &cli)
     }
     t.print(strprintf("config %s (seed %llu)", cfg.name.c_str(),
                       static_cast<unsigned long long>(cfg.seed)));
-    printBackendSummary(result);
-    maybeArchive(cli, result);
+    finishSweep(cli, result);
     return 0;
 }
 
@@ -426,15 +372,10 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
     JsonValue root;
     try {
         root = parseJson(readFileText(path));
-    } catch (const std::runtime_error &e) {
-        fatal("%s: %s", path.c_str(), e.what());
-    }
-    if (!root.isObject())
-        fatal("%s: scenario root is not an object", path.c_str());
-
-    // The staging/sampling flags layer onto the file's own values,
-    // read by the same parsers scenarioFromJson uses.
-    try {
+        if (!root.isObject())
+            throw std::runtime_error("scenario root is not an object");
+        // The staging/sampling flags layer onto the file's own values,
+        // read by the same parsers scenarioFromJson uses.
         if (cli.has("seed"))
             root.object["seed"] = jsonU64(cli.integer("seed", 1));
         if (cli.has("warm") || cli.has("pipewarm") ||
@@ -461,47 +402,37 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
     }
 
     std::shared_ptr<ServeBackend> client = serveClient(cli);
-    try {
-        // The daemon streams progress during the run; render it as
-        // the same heartbeat a local --progress sweep prints.
-        client->setProgressHandler(progressFn(cli, path, true));
-        SweepResult result = client->submitScenario(root);
-        std::printf("scenario %s: ran on %s (%zu simulations, %d "
-                    "daemon threads)\n",
-                    result.name.c_str(), client->address().c_str(),
-                    result.simulations, result.threads);
-        printGrid(result);
-        // The daemon compiled the scenario; its claims are checked here
-        // against the returned grid (a file whose traces live only on
-        // the daemon cannot be loaded locally, so it skips them).
-        if (root.object.count("claims")) {
-            try {
-                printClaims(loadScenarioFile(path).claims, result.grid);
-            } catch (const std::runtime_error &e) {
-                std::fprintf(stderr, "claims not checked: %s\n",
-                             e.what());
-            }
+    // The daemon streams progress during the run; render it as the
+    // same heartbeat a local --progress sweep prints.
+    client->setProgressHandler(progressFn(cli, path, true));
+    SweepResult result = client->submitScenario(root);
+    std::printf("scenario %s: ran on %s (%zu simulations, %d "
+                "daemon threads)\n",
+                result.name.c_str(), client->address().c_str(),
+                result.simulations, result.threads);
+    printGrid(result);
+    // The daemon compiled the scenario; its claims are checked here
+    // against the returned grid (a file whose traces live only on the
+    // daemon cannot be loaded locally, so it skips them).
+    if (root.object.count("claims")) {
+        try {
+            printClaims(loadScenarioFile(path).claims, result.grid);
+        } catch (const std::runtime_error &e) {
+            std::fprintf(stderr, "claims not checked: %s\n", e.what());
         }
-        printBackendSummary(result);
-        maybeArchive(cli, result);
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
     }
+    finishSweep(cli, result);
     return 0;
 }
 
 int
-cmdSweep(const std::string &path, const Cli &cli)
+cmdSweep(const Cli &cli)
 {
+    const std::string &path = cli.positional();
     if (cli.flag("submit"))
         return cmdSubmitSweep(path, cli);
 
-    Scenario scenario;
-    try {
-        scenario = loadScenarioFile(path);
-    } catch (const std::runtime_error &e) {
-        fatal("%s", e.what());
-    }
+    Scenario scenario = loadScenarioFile(path);
     scenario.lengths = stagingLengths(cli, scenario.lengths);
     // Overrides the file's seed before compile, so it also reseeds the
     // panel classification (unlike --set seed=N, which applies after).
@@ -512,15 +443,10 @@ cmdSweep(const std::string &path, const Cli &cli)
 
     int threads = int(cli.integer("threads", 0));
     ExecBackendPtr backend = makeBackend(cli);
-    SweepSpec spec;
-    try {
-        // The backend also serves the classification matrix a panels
-        // scenario runs at compile time, so a warm cache answers the
-        // whole invocation without simulating.
-        spec = scenario.compile(threads, backend);
-    } catch (const std::runtime_error &e) {
-        fatal("%s", e.what());
-    }
+    // The backend also serves the classification matrix a panels
+    // scenario runs at compile time, so a warm cache answers the whole
+    // invocation without simulating.
+    SweepSpec spec = scenario.compile(threads, backend);
 
     // --set overrides apply to every job of the compiled spec; the
     // --samples/--sample-* flags override the scenario's sampling plan.
@@ -536,13 +462,11 @@ cmdSweep(const std::string &path, const Cli &cli)
                                 spec.sampling.toString().c_str())
                           .c_str()
                     : "");
-    SweepResult result =
-        runSweep(Runner(threads, backend), spec,
-                 progressFn(cli, spec.name, backend && backend->wantsKey()));
+    SweepResult result = Runner(threads, backend).run(
+        spec, progressFn(cli, spec.name, backend && backend->wantsKey()));
     printGrid(result);
     printClaims(scenario.claims, result.grid);
-    printBackendSummary(result);
-    maybeArchive(cli, result);
+    finishSweep(cli, result);
     return 0;
 }
 
@@ -597,32 +521,21 @@ cmdBench(const Cli &cli)
     opts.lengths = stagingLengths(
         cli, opts.quick ? RunLengths::quick() : RunLengths::bench());
 
-    // Scenario sweeps to time (their own staging plans); default is
-    // the perf-trajectory anchor, fig6_iq_quick.
+    // Scenario sweeps to time (their own staging plans).  The default
+    // is the perf-trajectory anchor fig6_iq_quick plus the gated SMT
+    // pairs sweep; both are required when the default cell list is in
+    // play — a missing file must not silently punch a hole in the
+    // trajectory.
     std::vector<std::string> scenarios = cli.list("scenario");
     if (scenarios.empty())
-        scenarios.push_back("scenarios/fig6_iq_quick.json");
+        scenarios = {"scenarios/fig6_iq_quick.json",
+                     "scenarios/smt_pairs.json"};
     for (const std::string &path : scenarios) {
         if (!std::filesystem::exists(path))
             fatal("bench scenario not found: '%s' (run from the repo "
                   "root or pass --scenario=<path>)",
                   path.c_str());
         opts.scenarios.push_back(path);
-    }
-    // The SMT pairs sweep is a gated cell: its trajectory stabilised
-    // over PRs 5-7, so it now counts toward the total the perf-smoke
-    // gate compares (promoted from report_only_scenarios when the
-    // LTP hot path was rebuilt event-driven).  Like the fig6 default
-    // above, it is required when the default cell list is in play — a
-    // missing file must not silently punch a hole in the trajectory.
-    if (cli.list("scenario").empty()) {
-        const char *smt = "scenarios/smt_pairs.json";
-        if (!std::filesystem::exists(smt))
-            fatal("bench scenario not found: '%s' (run from the repo "
-                  "root, or pass --scenario=<path> to choose the "
-                  "cells explicitly)",
-                  smt);
-        opts.scenarios.push_back(smt);
     }
 
     std::string perf_out = cli.str("perf-record", "");
@@ -634,10 +547,10 @@ cmdBench(const Cli &cli)
         report = runSimSpeedBench(opts);
         if (!baseline.empty())
             report.referenceKips = loadReferenceKips(baseline);
-    } catch (const std::runtime_error &e) {
+    } catch (const std::exception &) {
         if (perf_pid > 0)
             ::kill(perf_pid, SIGKILL);
-        fatal("%s", e.what());
+        throw;
     }
     if (perf_pid > 0)
         stopPerf(perf_pid, perf_out);
@@ -656,7 +569,6 @@ cmdBench(const Cli &cli)
     };
     addRows(report.kernelCells);
     addRows(report.scenarioCells);
-    addRows(report.reportOnlyCells);
     t.print(strprintf("simulator throughput (%s, seed %llu): %.1f kIPS "
                       "over %llu detailed insts",
                       report.quick ? "quick" : "full",
@@ -728,12 +640,8 @@ cmdBench(const Cli &cli)
     if (cli.flag("check")) {
         if (baseline.empty())
             fatal("bench --check needs --baseline=<file>");
-        try {
-            if (!checkSimSpeedBaseline(report, baseline))
-                return 1;
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        if (!checkSimSpeedBaseline(report, baseline))
+            return 1;
     }
     return 0;
 }
@@ -758,27 +666,22 @@ recordTargets(const std::string &what, const Cli &cli,
             // A scenario that replays traces validates them eagerly —
             // which cannot succeed before they exist.  Point at the
             // bootstrap path instead of just echoing the parse error.
-            if (std::string(e.what()).find(".lttr") != std::string::npos)
-                fatal("%s\n(`ltp record <scenario>` records the DSL "
-                      "kernels a scenario touches; it cannot bootstrap "
-                      "a scenario that replays traces — record their "
-                      "source kernels directly: ltp record "
-                      "<kernel,...> --out=<dir>)",
-                      e.what());
-            fatal("%s", e.what());
+            if (std::string(e.what()).find(".lttr") == std::string::npos)
+                throw;
+            fatal("%s\n(`ltp record <scenario>` records the DSL "
+                  "kernels a scenario touches; it cannot bootstrap "
+                  "a scenario that replays traces — record their "
+                  "source kernels directly: ltp record "
+                  "<kernel,...> --out=<dir>)",
+                  e.what());
         }
         // The scenario's own staging/seed become the recording defaults
         // (still overridable by the standard flags).
         lengths = stagingLengths(cli, scenario.lengths);
         if (!cli.has("seed"))
             seed = scenario.seed;
-        SweepSpec spec;
-        try {
-            spec = scenario.compile(int(cli.integer("threads", 0)),
-                                    makeBackend(cli));
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        SweepSpec spec = scenario.compile(int(cli.integer("threads", 0)),
+                                          makeBackend(cli));
         std::set<std::string> uniq;
         for (const SweepJob &job : spec.jobs)
             for (const std::string &k : job.kernels) {
@@ -801,11 +704,8 @@ recordTargets(const std::string &what, const Cli &cli,
 }
 
 int
-cmdRecord(const std::string &what, const Cli &cli)
+cmdRecord(const Cli &cli)
 {
-    if (what.empty())
-        fatal("record needs a target: ltp record "
-              "<kernel[,kernel...]|scenario.json|all> --out=<dir>");
     std::string out_dir = cli.str("out", "");
     if (out_dir.empty())
         fatal("record needs --out=<dir> for the .lttr files");
@@ -813,7 +713,7 @@ cmdRecord(const std::string &what, const Cli &cli)
     RunLengths lengths = stagingLengths(cli, RunLengths::bench());
     std::uint64_t seed = cli.integer("seed", 1);
     std::vector<std::string> kernels =
-        recordTargets(what, cli, lengths, seed);
+        recordTargets(cli.positional(), cli, lengths, seed);
 
     std::error_code ec;
     std::filesystem::create_directories(out_dir, ec);
@@ -830,14 +730,10 @@ cmdRecord(const std::string &what, const Cli &cli)
         info.pipeWarm = lengths.pipeWarm;
         info.detail = lengths.detail;
         std::string path = out_dir + "/" + kernel + ".lttr";
-        try {
-            std::string bytes = recordTrace(info);
-            writeTraceFile(path, bytes);
-            t.addRow({kernel, path, std::to_string(info.recordLength()),
-                      std::to_string(bytes.size())});
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        std::string bytes = recordTrace(info);
+        writeTraceFile(path, bytes);
+        t.addRow({kernel, path, std::to_string(info.recordLength()),
+                  std::to_string(bytes.size())});
     }
     t.print(strprintf("recorded %zu trace(s), seed %llu, staging "
                       "%llu/%llu/%llu (+%llu slack)",
@@ -851,12 +747,10 @@ cmdRecord(const std::string &what, const Cli &cli)
 }
 
 int
-cmdReplay(const std::string &what, const Cli &cli)
+cmdReplay(const Cli &cli)
 {
     namespace fs = std::filesystem;
-    if (what.empty())
-        fatal("replay needs a trace: ltp replay <trace.lttr|dir>");
-
+    const std::string &what = cli.positional();
     std::vector<std::string> paths;
     if (fs::is_directory(what)) {
         for (const auto &entry : fs::directory_iterator(what))
@@ -870,8 +764,7 @@ cmdReplay(const std::string &what, const Cli &cli)
     }
 
     bool verify = cli.flag("verify");
-    SimConfig base_cfg = presetConfig(cli.str("preset", "baseline"), cli);
-    applySets(base_cfg, cli);
+    SimConfig base_cfg = configFromCli(cli, cli.str("preset", "baseline"));
     // Like --seed below, `--set seed=N` cannot re-seed a recorded
     // stream; reject it instead of silently mislabelling results.
     for (const std::string &kv : cli.list("set"))
@@ -888,12 +781,7 @@ cmdReplay(const std::string &what, const Cli &cli)
 
     int failures = 0;
     for (const std::string &path : paths) {
-        std::shared_ptr<const TraceReader> trace;
-        try {
-            trace = loadTraceCached(path);
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        std::shared_ptr<const TraceReader> trace = loadTraceCached(path);
         const TraceInfo &info = trace->info();
 
         // Defaults reproduce the recording run exactly: the recorded
@@ -956,7 +844,7 @@ cmdReplay(const std::string &what, const Cli &cli)
 }
 
 int
-cmdListKernels()
+cmdListKernels(const Cli &)
 {
     Table t({"kernel", "intent"});
     for (const SuiteEntry &e : kernelSuite()) {
@@ -1018,35 +906,7 @@ cmdClassify(const Cli &cli)
     return 0;
 }
 
-/** The sampling plan the shared --samples/--sample-* flags select,
- *  layered over @p base (a scenario's plan or the defaults). */
-SamplePlan
-samplePlanFromCli(const Cli &cli, SamplePlan base)
-{
-    if (cli.has("samples"))
-        base.samples = int(cli.integer("samples", base.samples));
-    if (cli.has("sample-ff"))
-        base.fastForward =
-            std::uint64_t(cli.integer("sample-ff", 0));
-    if (cli.has("sample-warmup"))
-        base.warmup = std::uint64_t(cli.integer("sample-warmup", 0));
-    if (cli.has("sample-detail"))
-        base.detail = std::uint64_t(cli.integer("sample-detail", 0));
-    return base;
-}
-
-std::string
-readFileText(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open '%s'", path.c_str());
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
-}
-
-/** Gate a sampled report against a full-detail one (CI smoke). */
+/** Gate a sampled report against a full-detail one. */
 int
 cmdSampleCompare(const Cli &cli)
 {
@@ -1058,83 +918,60 @@ cmdSampleCompare(const Cli &cli)
     double min_speedup = cli.real("min-speedup", 0.0);
     double rtol = cli.real("rtol", 0.05);
 
-    struct Report
-    {
-        double wallMs = 0.0;
-        std::map<std::string, Metrics> cells; ///< "row|series" keyed
-    };
     auto load = [](const std::string &path) {
-        Report r;
-        JsonValue root;
         try {
-            root = parseJson(readFileText(path));
+            return sweepResultFromJson(parseJson(readFileText(path)));
         } catch (const std::runtime_error &e) {
             fatal("%s: %s", path.c_str(), e.what());
         }
-        if (!root.isObject())
-            fatal("%s: not a JSON report", path.c_str());
-        auto wall = root.object.find("wall_ms");
-        if (wall != root.object.end() && wall->second.isNumber())
-            r.wallMs = wall->second.num;
-        auto results = root.object.find("results");
-        if (results == root.object.end() ||
-            !results->second.isArray())
-            fatal("%s: missing 'results' array", path.c_str());
-        for (const JsonValue &cell : results->second.array) {
-            if (!cell.isObject())
-                fatal("%s: non-object result cell", path.c_str());
-            auto get = [&](const char *key) -> const JsonValue & {
-                auto it = cell.object.find(key);
-                if (it == cell.object.end())
-                    fatal("%s: result cell missing '%s'", path.c_str(),
-                          key);
-                return it->second;
-            };
-            r.cells[get("row").str + "|" + get("series").str] =
-                metricsFromJson(writeJsonCompact(get("metrics")));
-        }
-        return r;
     };
-    Report full = load(full_path);
-    Report sampled = load(sampled_path);
+    SweepResult full = load(full_path);
+    SweepResult sampled = load(sampled_path);
 
     Table t({"cell", "full IPC", "sampled IPC", "ci95", "tolerance",
              "state"});
     int failures = 0;
-    for (const auto &[key, sm] : sampled.cells) {
-        auto it = full.cells.find(key);
-        if (it == full.cells.end())
-            fatal("cell '%s' in %s has no counterpart in %s",
-                  key.c_str(), sampled_path.c_str(), full_path.c_str());
-        const Metrics &fm = it->second;
-        // Gating a sampled cell is a statistical statement; a cell
-        // with no interval (--samples=1) cannot make one, so refuse
-        // outright rather than trivially passing on the rtol floor.
-        if (sm.sampling.enabled() && !sm.sampling.hasCi())
-            fatal("cell '%s' in %s has no confidence interval "
-                  "(%d sample%s) — rerun with --samples>=2 to gate "
-                  "a sampled result",
-                  key.c_str(), sampled_path.c_str(),
-                  sm.sampling.samples,
-                  sm.sampling.samples == 1 ? "" : "s");
-        double sampled_ipc =
-            sm.sampling.enabled() ? sm.sampling.meanIpc : sm.ipc;
-        // The statistical tolerance is the sample CI; the rtol floor
-        // covers low-variance runs whose CI collapses below the bias
-        // the phase model introduces (cold-start, period alignment).
-        double tol = std::max(sm.sampling.ci95Half, rtol * fm.ipc);
-        bool ok = std::fabs(sampled_ipc - fm.ipc) <= tol;
-        failures += ok ? 0 : 1;
-        t.addRow({key, Table::num(fm.ipc, 4), Table::num(sampled_ipc, 4),
-                  Table::num(sm.sampling.ci95Half, 4),
-                  Table::num(tol, 4), ok ? "ok" : "OUT OF TOLERANCE"});
-    }
+    std::size_t cells = 0;
+    for (const std::string &row : sampled.grid.rows())
+        for (const std::string &series : sampled.grid.series(row)) {
+            std::string key = row + "|" + series;
+            cells += 1;
+            if (!full.grid.has(row, series))
+                fatal("cell '%s' in %s has no counterpart in %s",
+                      key.c_str(), sampled_path.c_str(),
+                      full_path.c_str());
+            const Metrics &fm = full.grid.at(row, series);
+            const Metrics &sm = sampled.grid.at(row, series);
+            // Gating a sampled cell is a statistical statement; a cell
+            // with no interval (--samples=1) cannot make one, so refuse
+            // outright rather than trivially passing on the rtol floor.
+            if (sm.sampling.enabled() && !sm.sampling.hasCi())
+                fatal("cell '%s' in %s has no confidence interval "
+                      "(%d sample%s) — rerun with --samples>=2 to gate "
+                      "a sampled result",
+                      key.c_str(), sampled_path.c_str(),
+                      sm.sampling.samples,
+                      sm.sampling.samples == 1 ? "" : "s");
+            double sampled_ipc =
+                sm.sampling.enabled() ? sm.sampling.meanIpc : sm.ipc;
+            // The statistical tolerance is the sample CI; the rtol
+            // floor covers low-variance runs whose CI collapses below
+            // the bias the phase model introduces (cold-start, period
+            // alignment).
+            double tol = std::max(sm.sampling.ci95Half, rtol * fm.ipc);
+            bool ok = std::fabs(sampled_ipc - fm.ipc) <= tol;
+            failures += ok ? 0 : 1;
+            t.addRow({key, Table::num(fm.ipc, 4),
+                      Table::num(sampled_ipc, 4),
+                      Table::num(sm.sampling.ci95Half, 4),
+                      Table::num(tol, 4),
+                      ok ? "ok" : "OUT OF TOLERANCE"});
+        }
     double speedup =
         sampled.wallMs > 0.0 ? full.wallMs / sampled.wallMs : 0.0;
     t.print(strprintf("sampled vs full: %zu cells, wall %.0f ms vs "
                       "%.0f ms = %.2fx",
-                      sampled.cells.size(), sampled.wallMs, full.wallMs,
-                      speedup));
+                      cells, sampled.wallMs, full.wallMs, speedup));
     if (failures) {
         std::fprintf(stderr,
                      "sample compare: %d cell(s) out of tolerance\n",
@@ -1152,21 +989,19 @@ cmdSampleCompare(const Cli &cli)
 }
 
 int
-cmdSample(const std::string &positional, const Cli &cli)
+cmdSample(const Cli &cli)
 {
-    if (positional == "compare")
+    if (cli.positional() == "compare")
         return cmdSampleCompare(cli);
 
-    std::string what =
-        positional.empty() ? cli.str("kernel", "") : positional;
+    std::string what = cli.positional().empty() ? cli.str("kernel", "")
+                                                : cli.positional();
     if (what.empty())
         fatal("sample needs a workload: ltp sample <kernel[,kernel...]>"
               " (or `ltp sample compare --full=... --sampled=...`)");
     std::vector<std::string> kernels = splitCommas(what);
 
-    SimConfig cfg = presetConfig(cli.str("preset", "baseline"), cli);
-    cfg.seed = cli.integer("seed", 1);
-    applySets(cfg, cli);
+    SimConfig cfg = configFromCli(cli, cli.str("preset", "baseline"));
 
     SamplePlan plan = samplePlanFromCli(cli, SamplePlan::defaults());
     if (plan.samples <= 0 || plan.detail == 0)
@@ -1183,42 +1018,25 @@ cmdSample(const std::string &positional, const Cli &cli)
             fatal("sample --from restores one workload, got %zu",
                   kernels.size());
         auto start = std::chrono::steady_clock::now();
-        Checkpoint ckpt;
-        try {
-            ckpt = loadCheckpointFile(from);
-            Sampler sampler(cfg, kernels[0], plan);
-            sampler.restoreFrom(ckpt);
-            PhaseFn phase;
-            if (cli.flag("progress"))
-                phase = [](const std::string &p) {
-                    std::fprintf(stderr, "\r[%s]        ", p.c_str());
-                    std::fflush(stderr);
-                };
-            Metrics m = sampler.run(phase);
-            if (phase)
-                std::fprintf(stderr, "\n");
-            result.grid.put(kernels[0], cfg.name, m);
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        Sampler sampler(cfg, kernels[0], plan);
+        sampler.restoreFrom(loadCheckpointFile(from));
+        PhaseFn phase;
+        if (cli.flag("progress"))
+            phase = [](const std::string &p) {
+                std::fprintf(stderr, "\r[%s]        ", p.c_str());
+                std::fflush(stderr);
+            };
+        Metrics m = sampler.run(phase);
+        if (phase)
+            std::fprintf(stderr, "\n");
+        result.grid.put(kernels[0], cfg.name, m);
         result.name = "sample:" + cfg.name;
-        result.threads = 1;
-        result.backend = "local";
         result.simulations = 1;
         result.wallMs = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count();
     } else {
-        SweepSpec spec;
-        spec.name = "sample:" + cfg.name;
-        spec.lengths = stagingLengths(cli, RunLengths::bench());
-        spec.sampling = plan;
-        for (const std::string &k : kernels)
-            spec.add(k, cfg.name, cfg, k);
-        ExecBackendPtr backend = makeBackend(cli);
-        bool caching = backend && backend->wantsKey();
-        result = runSweep(Runner(int(cli.integer("threads", 0)), backend),
-                          spec, progressFn(cli, spec.name, caching));
+        result = runKernels(cli, "sample", cfg, kernels, plan);
     }
 
     Table t({"kernel", "samples", "mean IPC", "±95% CI", "stddev",
@@ -1236,14 +1054,14 @@ cmdSample(const std::string &positional, const Cli &cli)
                       cfg.name.c_str(), plan.toString().c_str(),
                       static_cast<unsigned long long>(cfg.seed),
                       result.wallMs));
-    printBackendSummary(result);
-    maybeArchive(cli, result);
+    finishSweep(cli, result);
     return 0;
 }
 
 int
-cmdCheckpoint(const std::string &action, const Cli &cli)
+cmdCheckpoint(const Cli &cli)
 {
+    const std::string &action = cli.positional();
     if (action == "create") {
         std::string kernel = cli.str("kernel", "");
         if (kernel.empty())
@@ -1255,28 +1073,21 @@ cmdCheckpoint(const std::string &action, const Cli &cli)
         if (at == 0)
             fatal("checkpoint create needs --at=<instructions> > 0");
 
-        SimConfig cfg = presetConfig(cli.str("preset", "baseline"), cli);
-        cfg.seed = cli.integer("seed", 1);
-        applySets(cfg, cli);
-        try {
-            std::vector<std::string> members =
-                resolveWorkloadMembers(cfg, kernel);
-            MemSystem mem(cfg.mem);
-            FastForward ff(cfg, members, mem);
-            ff.advanceTo(at);
-            std::string name = ff.stream(0).name();
-            for (int tid = 1; tid < ff.numThreads(); ++tid)
-                name += "+" + ff.stream(tid).name();
-            Checkpoint ckpt =
-                captureCheckpoint(ff, mem, name, cfg.seed);
-            std::string bytes = checkpointToBytes(ckpt);
-            writeCheckpointFile(out, bytes);
-            std::printf("%s: %s (%zu bytes, fast-forward %.0f kIPS)\n",
-                        out.c_str(), checkpointSummary(ckpt).c_str(),
-                        bytes.size(), ff.kips());
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
-        }
+        SimConfig cfg = configFromCli(cli, cli.str("preset", "baseline"));
+        std::vector<std::string> members =
+            resolveWorkloadMembers(cfg, kernel);
+        MemSystem mem(cfg.mem);
+        FastForward ff(cfg, members, mem);
+        ff.advanceTo(at);
+        std::string name = ff.stream(0).name();
+        for (int tid = 1; tid < ff.numThreads(); ++tid)
+            name += "+" + ff.stream(tid).name();
+        Checkpoint ckpt = captureCheckpoint(ff, mem, name, cfg.seed);
+        std::string bytes = checkpointToBytes(ckpt);
+        writeCheckpointFile(out, bytes);
+        std::printf("%s: %s (%zu bytes, fast-forward %.0f kIPS)\n",
+                    out.c_str(), checkpointSummary(ckpt).c_str(),
+                    bytes.size(), ff.kips());
         return 0;
     }
     if (action == "ls" || action == "verify") {
@@ -1284,29 +1095,25 @@ cmdCheckpoint(const std::string &action, const Cli &cli)
         if (file.empty())
             fatal("checkpoint %s needs --file=<file.ltcp>",
                   action.c_str());
-        try {
-            std::string bytes = readFileText(file);
-            Checkpoint ckpt = checkpointFromBytes(bytes);
-            if (action == "ls") {
-                std::printf("%s: %s\n", file.c_str(),
-                            checkpointSummary(ckpt).c_str());
-                return 0;
-            }
-            // verify: the decode above already validated magic,
-            // version, CRC, and semantics; a byte-exact re-encode
-            // proves the file is canonical (no mutation survives).
-            if (checkpointToBytes(ckpt) != bytes) {
-                std::fprintf(stderr,
-                             "%s: decodes but re-encodes differently "
-                             "(non-canonical)\n",
-                             file.c_str());
-                return 1;
-            }
-            std::printf("%s: OK (%zu bytes, CRC + round-trip verified)\n",
-                        file.c_str(), bytes.size());
-        } catch (const std::runtime_error &e) {
-            fatal("%s", e.what());
+        std::string bytes = readFileText(file);
+        Checkpoint ckpt = checkpointFromBytes(bytes);
+        if (action == "ls") {
+            std::printf("%s: %s\n", file.c_str(),
+                        checkpointSummary(ckpt).c_str());
+            return 0;
         }
+        // verify: the decode above already validated magic, version,
+        // CRC, and semantics; a byte-exact re-encode proves the file
+        // is canonical (no mutation survives).
+        if (checkpointToBytes(ckpt) != bytes) {
+            std::fprintf(stderr,
+                         "%s: decodes but re-encodes differently "
+                         "(non-canonical)\n",
+                         file.c_str());
+            return 1;
+        }
+        std::printf("%s: OK (%zu bytes, CRC + round-trip verified)\n",
+                    file.c_str(), bytes.size());
         return 0;
     }
     fatal("unknown checkpoint action '%s' (expected create|ls|verify)",
@@ -1314,8 +1121,9 @@ cmdCheckpoint(const std::string &action, const Cli &cli)
 }
 
 int
-cmdCache(const std::string &action, const Cli &cli)
+cmdCache(const Cli &cli)
 {
+    const std::string &action = cli.positional();
     ResultCache cache(cli.str("cache-dir", ""));
 
     if (action.empty() || action == "stat") {
@@ -1372,63 +1180,60 @@ cmdCache(const std::string &action, const Cli &cli)
           action.c_str());
 }
 
+/** `ltp serve ping|stats|stop`: one-shot RPCs against a daemon. */
 int
-cmdServe(const std::string &action, const Cli &cli)
+serveControl(const std::string &action, const Cli &cli)
 {
-    if (!action.empty()) {
-        // Control plane: one-shot RPCs against a running daemon.
-        if (action != "ping" && action != "stats" && action != "stop")
-            fatal("unknown serve action '%s' (expected ping|stats|stop "
-                  "or no action to run the daemon)",
-                  action.c_str());
-        std::shared_ptr<ServeBackend> client =
-            serveClient(cli, int(cli.integer("port", kDefaultServePort)));
-        try {
-            JsonValue reply =
-                client->rpc(action == "stop" ? "shutdown" : action);
-            reply.object.erase("id");
-            // The per-worker counters read better as a table; keep the
-            // machine-readable JSON to the scalar fields.
-            JsonValue workers;
-            auto wIt = reply.object.find("workers");
-            if (wIt != reply.object.end() && wIt->second.isArray()) {
-                workers = std::move(wIt->second);
-                reply.object.erase("workers");
-            }
-            std::printf("%s\n", writeJson(reply).c_str());
-            if (workers.isArray()) {
-                Table t({"worker", "capacity", "up", "dispatched",
-                         "completed", "retried", "failed",
-                         "peer hits"});
-                for (const JsonValue &w : workers.array) {
-                    auto f = [&w](const char *key) -> std::string {
-                        auto it = w.object.find(key);
-                        if (it == w.object.end())
-                            return "-";
-                        if (it->second.isBool())
-                            return it->second.boolean ? "yes" : "NO";
-                        return it->second.str;
-                    };
-                    t.addRow({f("worker"), f("capacity"), f("up"),
-                              f("dispatched"), f("completed"),
-                              f("retried"), f("failed"),
-                              f("peerHits")});
-                }
-                t.print("remote workers");
-            }
-            if (action == "stop") {
-                auto dIt = reply.object.find("drained");
-                if (dIt != reply.object.end() &&
-                    dIt->second.isNumber() && dIt->second.num > 0)
-                    std::printf("drained %s in-flight cell(s) before "
-                                "shutdown\n",
-                                dIt->second.str.c_str());
-            }
-        } catch (const std::exception &e) {
-            fatal("%s", e.what());
-        }
-        return 0;
+    if (action != "ping" && action != "stats" && action != "stop")
+        fatal("unknown serve action '%s' (expected ping|stats|stop "
+              "or no action to run the daemon)",
+              action.c_str());
+    JsonValue reply =
+        serveClient(cli, int(cli.integer("port", kDefaultServePort)))
+            ->rpc(action == "stop" ? "shutdown" : action);
+    reply.object.erase("id");
+    // The per-worker counters read better as a table; keep the
+    // machine-readable JSON to the scalar fields.
+    JsonValue workers;
+    auto wIt = reply.object.find("workers");
+    if (wIt != reply.object.end() && wIt->second.isArray()) {
+        workers = std::move(wIt->second);
+        reply.object.erase("workers");
     }
+    std::printf("%s\n", writeJson(reply).c_str());
+    if (workers.isArray()) {
+        Table t({"worker", "capacity", "up", "dispatched", "completed",
+                 "retried", "failed", "peer hits"});
+        for (const JsonValue &w : workers.array) {
+            auto f = [&w](const char *key) -> std::string {
+                auto it = w.object.find(key);
+                if (it == w.object.end())
+                    return "-";
+                if (it->second.isBool())
+                    return it->second.boolean ? "yes" : "NO";
+                return it->second.str;
+            };
+            t.addRow({f("worker"), f("capacity"), f("up"),
+                      f("dispatched"), f("completed"), f("retried"),
+                      f("failed"), f("peerHits")});
+        }
+        t.print("remote workers");
+    }
+    if (action == "stop") {
+        auto dIt = reply.object.find("drained");
+        if (dIt != reply.object.end() && dIt->second.isNumber() &&
+            dIt->second.num > 0)
+            std::printf("drained %s in-flight cell(s) before shutdown\n",
+                        dIt->second.str.c_str());
+    }
+    return 0;
+}
+
+int
+cmdServe(const Cli &cli)
+{
+    if (!cli.positional().empty())
+        return serveControl(cli.positional(), cli);
 
     ServeOptions opts;
     opts.port = int(cli.integer("port", kDefaultServePort));
@@ -1438,43 +1243,160 @@ cmdServe(const std::string &action, const Cli &cli)
     opts.quiet = cli.flag("quiet");
     opts.workers = cli.list("worker");
     std::string workers_file = cli.str("workers", "");
-    if (!workers_file.empty()) {
-        try {
-            for (const std::string &w : loadWorkerSpecs(workers_file))
-                opts.workers.push_back(w);
-        } catch (const std::exception &e) {
-            fatal("%s", e.what());
-        }
-    }
+    if (!workers_file.empty())
+        for (const std::string &w : loadWorkerSpecs(workers_file))
+            opts.workers.push_back(w);
     opts.traceDir = cli.str("trace-dir", "");
     opts.drainTimeoutMs =
         int(cli.integer("drain-timeout", opts.drainTimeoutMs));
-    try {
-        Server server(opts);
-        server.start();
-        server.waitForShutdown();
-        server.stop();
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
+    Server server(opts);
+    server.start();
+    server.waitForShutdown();
+    server.stop();
     return 0;
 }
 
 int
-cmdPrintConfig(const std::string &preset, const Cli &cli)
+cmdPrintConfig(const Cli &cli)
 {
     if (cli.flag("paths")) {
         for (const std::string &p : configPaths())
             std::printf("%s\n", p.c_str());
         return 0;
     }
-    if (preset.empty())
+    if (cli.positional().empty())
         fatal("print-config needs a preset "
               "(baseline|ltpProposal|limitStudy) or --paths");
-    SimConfig cfg = presetConfig(preset, cli);
-    applySets(cfg, cli);
-    std::printf("%s\n", configToJson(cfg).c_str());
+    std::printf("%s\n",
+                configToJson(configFromCli(cli, cli.positional())).c_str());
     return 0;
+}
+
+// ---------------------------------------------------------------------------
+// The command table
+// ---------------------------------------------------------------------------
+
+struct Command
+{
+    const char *name;
+    CliSpec spec; ///< its own flags beyond kShared; summary = help text
+    int (*run)(const Cli &);
+};
+
+const std::vector<Command> kCommands = {
+    {"run",
+     {{"preset", "mode", "kernel"}, {}, Positional::None, "",
+      "simulate one config (--preset=baseline|ltpProposal|limitStudy,\n"
+      "--mode=off|NU|NR|NR+NU) over --kernel=a,b (default paper_loop)"},
+     cmdRun},
+    {"sweep",
+     {{"samples", "sample-ff", "sample-warmup", "sample-detail"},
+      {"progress", "submit"},
+      Positional::Required,
+      "<scenario.json>",
+      "run a scenario file and print its claims' PASS/FAIL;\n"
+      "--samples/--sample-* override its sampling plan, --progress\n"
+      "prints a heartbeat, --submit ships it to --server in one request"},
+     cmdSweep},
+    {"bench",
+     {{"scenario", "baseline", "perf-record", "reps"},
+      {"quick", "check", "profile"},
+      Positional::None,
+      "",
+      "simulator throughput (kIPS, in-process, uncached) over kernels\n"
+      "and --scenario files -> BENCH_simspeed.json; --baseline --check\n"
+      "fails on a >25% regression or changed work counters; --reps=N\n"
+      "keeps the best of N; --profile times pipeline stages;\n"
+      "--perf-record=<out.data> runs `perf record -g` alongside"},
+     cmdBench},
+    {"record",
+     {{"out"}, {}, Positional::Required,
+      "<kernel[,kernel...]|scenario.json|all>",
+      "record .lttr traces into --out=<dir> (a scenario file records\n"
+      "every DSL kernel it touches, at its own staging)"},
+     cmdRecord},
+    {"replay",
+     {{"preset", "mode"}, {"verify"}, Positional::Required,
+      "<trace.lttr|dir>",
+      "replay .lttr traces; --verify diffs each against execute mode"},
+     cmdReplay},
+    {"sample",
+     {{"preset", "mode", "kernel", "samples", "sample-ff", "sample-warmup",
+       "sample-detail", "from", "full", "sampled", "min-speedup", "rtol"},
+      {"progress"},
+      Positional::Optional,
+      "[<kernel[,kernel...]|compare>]",
+      "interval-sampled simulation, mean IPC with a 95% CI (plan:\n"
+      "--samples --sample-ff --sample-warmup --sample-detail;\n"
+      "--from=<file.ltcp> restores a checkpoint); `compare --full=a.json\n"
+      "--sampled=b.json [--min-speedup=N --rtol=X]` gates a sampled\n"
+      "report against a full-detail one"},
+     cmdSample},
+    {"checkpoint",
+     {{"preset", "mode", "kernel", "at", "out", "file"}, {},
+      Positional::Required, "<create|ls|verify>",
+      "architectural .ltcp checkpoints: create --kernel=<w> --at=<n>\n"
+      "--out=<file>; ls and verify take --file=<file>"},
+     cmdCheckpoint},
+    {"list-kernels",
+     {{}, {}, Positional::None, "", "print the registered kernel suite"},
+     cmdListKernels},
+    {"classify",
+     {{}, {}, Positional::None, "",
+      "Section 4.1 MLP-sensitivity classification"},
+     cmdClassify},
+    {"print-config",
+     {{"mode"}, {"paths"}, Positional::Optional, "[<preset>]",
+      "print a preset's config as JSON; --paths lists every --set path"},
+     cmdPrintConfig},
+    {"cache",
+     {{"max-age-days", "max-bytes"}, {}, Positional::Optional,
+      "[<ls|stat|gc|clear>]",
+      "inspect or prune the result cache (default stat); gc takes\n"
+      "--max-age-days=N and --max-bytes=N (oldest-first eviction)"},
+     cmdCache},
+    {"serve",
+     {{"port", "worker", "workers", "trace-dir", "drain-timeout"},
+      {"quiet"},
+      Positional::Optional,
+      "[<ping|stats|stop>]",
+      "run the cell daemon on --port, or control a running one;\n"
+      "repeatable --worker=host:port (or --workers=<file>) makes it a\n"
+      "distributed frontend, --trace-dir resolves submitted trace\n"
+      "paths, --drain-timeout=<ms> bounds the shutdown drain"},
+     cmdServe},
+};
+
+/** Print @p text with every line after the first indented @p indent. */
+void
+printIndented(const char *text, int indent)
+{
+    for (const char *p = text; *p; ++p) {
+        std::putchar(*p);
+        if (*p == '\n')
+            std::printf("%*s", indent, "");
+    }
+    std::putchar('\n');
+}
+
+int
+usage(int status)
+{
+    std::printf("ltp — declarative LTP experiment driver\n\n"
+                "usage: ltp <command> [args] [--flags]   (`ltp <command> "
+                "--help` lists its flags)\n\ncommands:\n");
+    for (const Command &c : kCommands) {
+        std::printf("  %s%s%s\n      ", c.name,
+                    c.spec.positionalName.empty() ? "" : " ",
+                    c.spec.positionalName.c_str());
+        printIndented(c.spec.summary.c_str(), 6);
+    }
+    std::printf("\nflags every command accepts:\n");
+    for (const SharedFlag &f : kShared) {
+        std::printf("  --%-15s ", f.name);
+        printIndented(f.help, 20);
+    }
+    return status;
 }
 
 } // namespace
@@ -1484,177 +1406,27 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage(1);
-    std::string cmd = argv[1];
-    if (cmd == "--help" || cmd == "-h" || cmd == "help")
+    std::string name = argv[1];
+    if (name == "--help" || name == "-h" || name == "help")
         return usage(0);
-
-    // Extract at most one positional argument, applying the same
-    // `--key value` consumption rule Cli uses so a bare token after a
-    // valueless flag is read as that flag's value, not the positional.
-    // Boolean switches never take a value, so a bare token after one
-    // (e.g. `ltp replay --verify traces/`) stays the positional.
-    const std::set<std::string> boolean_flags = {
-        "--verify", "--paths", "--progress", "--quick", "--check",
-        "--no-cache", "--quiet", "--submit"};
-    std::string positional;
-    std::vector<char *> args;
-    std::string prog = std::string(argv[0]) + " " + cmd;
-    args.push_back(prog.data());
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) == 0 || arg == "-h") {
-            args.push_back(argv[i]);
-            // `--key value`: the next bare token belongs to the flag.
-            if (arg.rfind('=') == std::string::npos && arg != "-h" &&
-                !boolean_flags.count(arg) && i + 1 < argc &&
-                std::string(argv[i + 1]).rfind("--", 0) != 0)
-                args.push_back(argv[++i]);
-            continue;
-        }
-        if (!positional.empty()) {
-            std::fprintf(stderr,
-                         "ltp %s: unexpected extra argument '%s' "
-                         "(already got '%s')\n",
-                         cmd.c_str(), argv[i], positional.c_str());
-            return 1;
-        }
-        positional = arg;
-    }
-    int nargs = static_cast<int>(args.size());
-
-    // Every subcommand accepts the same global flag set through the
-    // same parser — staging, seed, threading, archiving, overrides,
-    // and the execution-backend/caching flags — so a flag learned on
-    // one command works on all of them (commands that have no use for
-    // a given global simply don't consult it).
-    const std::set<std::string> global = {
-        "warm",     "pipewarm",  "detail", "seed",    "threads",
-        "set",      "json",      "csv",    "no-cache", "cache-dir",
-        "backend",  "server",    "server-timeout"};
-    auto flags = [&](std::set<std::string> extra) {
-        extra.insert(global.begin(), global.end());
-        return extra;
-    };
-
-    if (cmd == "run") {
-        Cli cli(nargs, args.data(),
-                flags({"preset", "mode", "kernel"}),
-                "ltp run — simulate one config over kernels");
-        rejectPositional(cmd, positional);
-        return cmdRun(cli);
-    }
-    if (cmd == "sweep") {
-        Cli cli(nargs, args.data(),
-                flags({"progress", "samples", "sample-ff",
-                       "sample-warmup", "sample-detail", "submit"}),
-                "ltp sweep <scenario.json> — compile and run a "
-                "scenario file; --samples/--sample-* override the "
-                "scenario's sampling plan; --submit ships the whole "
-                "scenario to an `ltp serve` daemon (--server=host:port) "
-                "in one request");
-        if (positional.empty())
-            fatal("sweep needs a scenario file: ltp sweep "
-                  "<scenario.json>");
-        return cmdSweep(positional, cli);
-    }
-    if (cmd == "bench") {
-        Cli cli(nargs, args.data(),
-                flags({"quick", "scenario", "baseline", "check",
-                       "profile", "perf-record", "reps"}),
-                "ltp bench — measure simulator throughput (kIPS) and "
-                "write BENCH_simspeed.json; --baseline + --check fails "
-                "on >25% regression (always runs in-process and "
-                "uncached: it times the simulator, not the cache).\n"
-                "--reps=N keeps the best-of-N wall time per cell "
-                "(strips host scheduler noise from ~25 ms cells; the "
-                "committed artifact uses --reps=3).\n"
-                "--profile attributes each kernel cell's wall time to "
-                "pipeline stages (table + JSON `profile` blocks); "
-                "--perf-record=<out.data> additionally wraps the bench "
-                "in `perf record -g` when perf is installed");
-        rejectPositional(cmd, positional);
-        return cmdBench(cli);
-    }
-    if (cmd == "record") {
-        Cli cli(nargs, args.data(), flags({"out"}),
-                "ltp record <kernel[,kernel...]|scenario.json|all> "
-                "--out=<dir> — record .lttr micro-op traces");
-        return cmdRecord(positional, cli);
-    }
-    if (cmd == "replay") {
-        Cli cli(nargs, args.data(),
-                flags({"preset", "mode", "verify"}),
-                "ltp replay <trace.lttr|dir> — replay recorded traces; "
-                "--verify diffs the Metrics against execute mode");
-        return cmdReplay(positional, cli);
-    }
-    if (cmd == "list-kernels") {
-        Cli cli(nargs, args.data(), flags({}),
-                "ltp list-kernels — print the registered kernel suite");
-        rejectPositional(cmd, positional);
-        return cmdListKernels();
-    }
-    if (cmd == "classify") {
-        Cli cli(nargs, args.data(), flags({}),
-                "ltp classify — Section 4.1 MLP-sensitivity "
-                "classification");
-        rejectPositional(cmd, positional);
-        return cmdClassify(cli);
-    }
-    if (cmd == "print-config") {
-        Cli cli(nargs, args.data(), flags({"mode", "paths"}),
-                "ltp print-config <preset> — print a preset's config "
-                "as JSON");
-        return cmdPrintConfig(positional, cli);
-    }
-    if (cmd == "sample") {
-        Cli cli(nargs, args.data(),
-                flags({"preset", "mode", "kernel", "samples",
-                       "sample-ff", "sample-warmup", "sample-detail",
-                       "from", "progress", "full", "sampled",
-                       "min-speedup", "rtol"}),
-                "ltp sample <kernel[,kernel...]> — interval-sampled "
-                "simulation (mean IPC + 95% CI); --samples/--sample-ff/"
-                "--sample-warmup/--sample-detail set the plan, "
-                "--from=<file.ltcp> restores a checkpoint; `ltp sample "
-                "compare --full=a.json --sampled=b.json "
-                "[--min-speedup=N --rtol=X]` gates a sampled report "
-                "against a full-detail one");
-        return cmdSample(positional, cli);
-    }
-    if (cmd == "checkpoint") {
-        Cli cli(nargs, args.data(),
-                flags({"preset", "mode", "kernel", "at", "out", "file"}),
-                "ltp checkpoint <create|ls|verify> — architectural "
-                ".ltcp checkpoints: create --kernel=<w> --at=<insts> "
-                "--out=<file>; ls/verify take --file=<file>");
-        return cmdCheckpoint(positional, cli);
-    }
-    if (cmd == "cache") {
-        Cli cli(nargs, args.data(),
-                flags({"max-age-days", "max-bytes"}),
-                "ltp cache <ls|stat|gc|clear> — inspect or prune the "
-                "content-addressed result cache; --cache-dir selects "
-                "the root, gc takes --max-age-days=N and "
-                "--max-bytes=N (oldest-first size eviction)");
-        return cmdCache(positional, cli);
-    }
-    if (cmd == "serve") {
-        Cli cli(nargs, args.data(),
-                flags({"port", "quiet", "worker", "workers",
-                       "trace-dir", "drain-timeout"}),
-                "ltp serve [ping|stats|stop] — run the shared "
-                "simulation daemon (no action), or control a running "
-                "one; --port/--server address it, --threads sizes the "
-                "pool, --no-cache disables the shared result cache.\n"
-                "Distributed mode: repeatable --worker=host:port (or "
-                "--workers=<file>, one host:port per line) fans cells "
-                "out to remote worker daemons; --trace-dir resolves "
-                "submitted scenarios' trace paths; --drain-timeout=<ms> "
-                "bounds the graceful shutdown drain (default 10000)");
-        return cmdServe(positional, cli);
+    auto cmd = std::find_if(kCommands.begin(), kCommands.end(),
+                            [&](const Command &c) { return name == c.name; });
+    if (cmd == kCommands.end()) {
+        std::fprintf(stderr, "ltp: unknown command '%s'\n\n", name.c_str());
+        return usage(1);
     }
 
-    std::fprintf(stderr, "ltp: unknown command '%s'\n\n", cmd.c_str());
-    return usage(1);
+    CliSpec spec = cmd->spec;
+    spec.summary = strprintf("ltp %s — %s", cmd->name, spec.summary.c_str());
+    for (const SharedFlag &f : kShared)
+        (f.isSwitch ? spec.switches : spec.flags).insert(f.name);
+    // Cli sees "ltp <command>" as argv[0], so its messages name the
+    // subcommand a typo happened in.
+    std::string prog = std::string(argv[0]) + " " + name;
+    argv[1] = prog.data();
+    try {
+        return cmd->run(Cli(argc - 1, argv + 1, spec));
+    } catch (const std::exception &e) {
+        fatal("%s", e.what());
+    }
 }
