@@ -119,6 +119,11 @@ Cli::integer(const std::string &key, std::int64_t dflt) const
     long long n = std::strtoll(s.c_str(), &end, hex ? 16 : 10);
     if (!digitFirst || leadingZero || *end != '\0' || errno == ERANGE)
         fatal("--%s expects an integer, got '%s'", key.c_str(), s.c_str());
+    // Every integer flag is a count, size or seed: a negative one would
+    // wrap to a huge unsigned value downstream.
+    if (s[0] == '-')
+        fatal("--%s expects a non-negative integer, got '%s'", key.c_str(),
+              s.c_str());
     return n;
 }
 

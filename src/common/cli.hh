@@ -49,8 +49,8 @@ class Cli
     bool has(const std::string &key) const;
     std::string str(const std::string &key, const std::string &dflt) const;
     /** Numeric accessors; fatal, naming the flag, unless the whole
-     *  value parses.  Integers are decimal or 0x hex; a leading zero
-     *  is rejected rather than read as octal. */
+     *  value parses.  Integers are non-negative, decimal or 0x hex; a
+     *  leading zero is rejected rather than read as octal. */
     std::int64_t integer(const std::string &key, std::int64_t dflt) const;
     double real(const std::string &key, double dflt) const;
     bool flag(const std::string &key) const;

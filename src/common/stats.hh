@@ -1,7 +1,7 @@
 /**
  * @file
  * Small statistics package: counters, means, time-weighted occupancy
- * integrators and histograms, loosely modelled on gem5's Stats.
+ * integrators, loosely modelled on gem5's Stats.
  *
  * Figures 1c and 7 of the paper report *average resources in use per
  * cycle*; @ref ltp::OccupancyStat integrates an occupancy value over
@@ -15,8 +15,6 @@
 #define LTP_COMMON_STATS_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -160,62 +158,11 @@ class OccupancyStat
     const Cycle *clock_ = nullptr; ///< untimed mutators' time source
 };
 
-/** Fixed-bucket histogram with overflow bucket. */
-class Histogram
-{
-  public:
-    /** @param buckets number of buckets; @param width bucket width. */
-    explicit Histogram(int buckets = 16, std::uint64_t width = 1)
-        : width_(width), counts_(buckets + 1, 0)
-    {
-        sim_assert(buckets > 0 && width > 0);
-    }
-
-    void
-    sample(std::uint64_t v)
-    {
-        std::size_t b = v / width_;
-        if (b >= counts_.size() - 1)
-            b = counts_.size() - 1;
-        counts_[b] += 1;
-        total_ += 1;
-        sum_ += v;
-    }
-
-    std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-    std::size_t numBuckets() const { return counts_.size(); }
-    std::uint64_t total() const { return total_; }
-    double mean() const { return total_ ? double(sum_) / total_ : 0.0; }
-
-    void
-    reset()
-    {
-        std::fill(counts_.begin(), counts_.end(), 0);
-        total_ = 0;
-        sum_ = 0;
-    }
-
-    std::string toString(const std::string &name) const;
-
-  private:
-    std::uint64_t width_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-    std::uint64_t sum_ = 0;
-};
-
 /** Ratio helper that is safe against zero denominators. */
 inline double
 safeDiv(double num, double den)
 {
     return den != 0.0 ? num / den : 0.0;
-}
-
-/** Percent change of @p value relative to @p base (paper-style deltas). */
-inline double
-pctDelta(double value, double base)
-{
-    return base != 0.0 ? (value / base - 1.0) * 100.0 : 0.0;
 }
 
 } // namespace ltp

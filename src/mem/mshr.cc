@@ -19,10 +19,7 @@ MshrFile::expire(Cycle now)
                                [now](const Entry &e) {
                                    return e.ready <= now;
                                });
-    if (dead != live_.end()) {
-        live_.erase(dead, live_.end());
-        occ_.set(static_cast<std::int64_t>(live_.size()), now);
-    }
+    live_.erase(dead, live_.end());
 }
 
 bool
@@ -44,7 +41,6 @@ MshrFile::allocate(Addr block, Cycle now, Cycle ready)
     sim_assert(isInfinite(capacity_) ||
                static_cast<int>(live_.size()) < capacity_);
     live_.push_back(Entry{block, ready});
-    occ_.set(static_cast<std::int64_t>(live_.size()), now);
     allocations++;
 }
 

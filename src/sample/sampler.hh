@@ -78,9 +78,6 @@ class Sampler
                            const SamplePlan &plan,
                            const PhaseFn &phase = {});
 
-    /** The workload name the run reports (members joined under SMT). */
-    const std::string &workloadName() const { return workload_name_; }
-
     /// @name Mid-run access for tests and `ltp checkpoint create`
     /// @{
     FastForward &fastForward() { return *ff_; }

@@ -188,14 +188,13 @@ ServeBackend::call(JsonValue frame)
 }
 
 CellResult
-ServeBackend::runCell(const CellKey &key, const SimConfig &cfg,
+ServeBackend::runCell(const CellKey &, const SimConfig &cfg,
                       const std::string &workload,
                       const RunLengths &lengths,
                       const SamplePlan &sampling)
 {
+    // No key: the daemon derives it from what it will run.
     JsonValue frame = objectFrame("run");
-    if (!key.empty())
-        frame.object["key"] = jsonStr(key.hex);
     frame.object["workload"] = jsonStr(workload);
     frame.object["config"] = parseJson(configToJson(cfg));
     frame.object["lengths"] = lengthsJson(lengths);

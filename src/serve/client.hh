@@ -67,9 +67,9 @@ class ServeBackend : public ExecBackend
 
     std::string name() const override { return "serve"; }
 
-    /** Keys are derived client-side (trace CRCs come from the
-     *  client's files) and sent with each request. */
-    bool wantsKey() const override { return true; }
+    /** The daemon derives each cell's key from the frame's content
+     *  (trace CRCs from its own files); a client key is never sent. */
+    bool wantsKey() const override { return false; }
 
     CellResult runCell(const CellKey &key, const SimConfig &cfg,
                        const std::string &workload,

@@ -175,7 +175,8 @@ DedupeBackend::run(const CellKey &key, const SimConfig &cfg,
                    const SamplePlan &sampling, bool *wasDeduped)
 {
     ActiveGuard active(*this);
-    // A raw client may omit the key; derive the identical one.
+    // run frames arrive keyless; the Runner of a scenario frame has
+    // already derived its keys.
     CellKey k = key.empty() ? cellKeyFor(cfg, workload, lengths, &sampling)
                             : key;
 
@@ -438,12 +439,10 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
     auto spIt = frame.object.find("sampling");
     if (spIt != frame.object.end())
         sampling = parseSampling(spIt->second, "sampling");
-    // Clients normally send the key they derived; without one the
-    // dedupe layer derives the identical key.
+    // A frame's `key` is never trusted: the dedupe layer derives the
+    // key from the config, workload and lengths it will actually run,
+    // so no frame can file its result under another cell's key.
     CellKey key{"", workload};
-    auto keyIt = frame.object.find("key");
-    if (keyIt != frame.object.end() && keyIt->second.isString())
-        key.hex = keyIt->second.str;
 
     conn->total.fetch_add(1, std::memory_order_relaxed);
 

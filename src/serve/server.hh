@@ -6,10 +6,11 @@
  *
  * Protocol (one compact-JSON frame per line, see serve/wire.hh):
  *
- *   → {"id":N,"type":"run","key":"<64-hex>","workload":"<name>",
+ *   → {"id":N,"type":"run","workload":"<name>",
  *      "config":{...},"lengths":{"funcWarm":F,"pipeWarm":P,"detail":D},
  *      "sampling":{"fastForward":F,"warmup":W,"detail":D,"samples":N}}
- *      (the optional "sampling" object selects interval sampling)
+ *      (the optional "sampling" object selects interval sampling; the
+ *      daemon derives the cell key and ignores any "key" sent)
  *   ← {"id":N,"type":"result","hit":B,"deduped":B,"metrics":{...}}
  *   ← {"type":"progress","done":D,"total":T,"hits":H}   (per connection)
  *   → {"id":N,"type":"scenario","scenario":{...}}       (whole scenario)

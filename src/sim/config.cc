@@ -1,12 +1,10 @@
 #include "sim/config.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+
+#include "sim/fields.hh"
 
 namespace ltp {
 
@@ -172,24 +170,11 @@ SimConfig::withSeed(std::uint64_t s)
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: one field registry drives configToJson, configFromJson,
-// and applyOverride.
+// Serialization: one field registry (sim/fields.hh) drives configToJson,
+// configFromJson, and applyOverride.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-enum class FieldKind { Int, U64, Double, Bool, String, Mode, Classifier,
-                       Wakeup, Fetch };
-
-/** One serializable field: dotted path + typed pointer into a config,
- *  plus the smallest value an Int field accepts. */
-struct Field
-{
-    const char *path;
-    FieldKind kind;
-    void *p;
-    int min = INT_MIN;
-};
 
 /** The full registry, in emission order (paths group into objects). */
 std::vector<Field>
@@ -294,241 +279,16 @@ badConfig(const std::string &what)
     throw std::runtime_error("config: " + what);
 }
 
-std::string
-lowered(const std::string &s)
-{
-    std::string out;
-    for (char c : s)
-        if (c != '+' && c != '-' && c != '_' && c != ' ')
-            out += char(std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
-
-LtpMode
-parseMode(const std::string &s, const std::string &where)
-{
-    std::string t = lowered(s);
-    if (t == "off")
-        return LtpMode::Off;
-    if (t == "nu")
-        return LtpMode::NU;
-    if (t == "nr")
-        return LtpMode::NR;
-    if (t == "nrnu" || t == "nunr")
-        return LtpMode::NRNU;
-    badConfig("bad LTP mode '" + s + "' at " + where +
-              " (expected off|NU|NR|NR+NU)");
-}
-
-const char *
-classifierName(ClassifierKind k)
-{
-    return k == ClassifierKind::Oracle ? "oracle" : "learned";
-}
-
-ClassifierKind
-parseClassifier(const std::string &s, const std::string &where)
-{
-    std::string t = lowered(s);
-    if (t == "learned")
-        return ClassifierKind::Learned;
-    if (t == "oracle")
-        return ClassifierKind::Oracle;
-    badConfig("bad classifier '" + s + "' at " + where +
-              " (expected learned|oracle)");
-}
-
-const char *
-wakeupName(WakeupPolicy p)
-{
-    switch (p) {
-      case WakeupPolicy::RobProximity: return "robProximity";
-      case WakeupPolicy::Eager: return "eager";
-      case WakeupPolicy::Lazy: return "lazy";
-    }
-    return "?";
-}
-
-WakeupPolicy
-parseWakeup(const std::string &s, const std::string &where)
-{
-    std::string t = lowered(s);
-    if (t == "robproximity")
-        return WakeupPolicy::RobProximity;
-    if (t == "eager")
-        return WakeupPolicy::Eager;
-    if (t == "lazy")
-        return WakeupPolicy::Lazy;
-    badConfig("bad wakeup policy '" + s + "' at " + where +
-              " (expected robProximity|eager|lazy)");
-}
-
-FetchPolicy
-parseFetch(const std::string &s, const std::string &where)
-{
-    std::string t = lowered(s);
-    if (t == "roundrobin" || t == "rr")
-        return FetchPolicy::RoundRobin;
-    if (t == "icount")
-        return FetchPolicy::ICount;
-    badConfig("bad fetch policy '" + s + "' at " + where +
-              " (expected roundRobin|icount)");
-}
-
-/** JSON fragment for one scalar field (sizes print kInfiniteSize as
- *  "inf", matching what the parsers accept). */
-std::string
-fieldFragment(const Field &f)
-{
-    switch (f.kind) {
-      case FieldKind::Int: {
-        int v = *static_cast<int *>(f.p);
-        return v == kInfiniteSize ? "\"inf\"" : std::to_string(v);
-      }
-      case FieldKind::U64:
-        return std::to_string(*static_cast<std::uint64_t *>(f.p));
-      case FieldKind::Double:
-        return jsonNum(*static_cast<double *>(f.p));
-      case FieldKind::Bool:
-        return *static_cast<bool *>(f.p) ? "true" : "false";
-      case FieldKind::String:
-        return jsonQuote(*static_cast<std::string *>(f.p));
-      case FieldKind::Mode:
-        return jsonQuote(ltpModeName(*static_cast<LtpMode *>(f.p)));
-      case FieldKind::Classifier:
-        return jsonQuote(
-            classifierName(*static_cast<ClassifierKind *>(f.p)));
-      case FieldKind::Wakeup:
-        return jsonQuote(wakeupName(*static_cast<WakeupPolicy *>(f.p)));
-      case FieldKind::Fetch:
-        return jsonQuote(
-            fetchPolicyName(*static_cast<FetchPolicy *>(f.p)));
-    }
-    return "null";
-}
-
-/** Nest [lo, hi) — all sharing @p prefix_len path prefix — into one
- *  ordered JSON object. */
-JsonObjectBuilder
-buildObject(const std::vector<Field> &fs, std::size_t lo, std::size_t hi,
-            std::size_t prefix_len, int indent)
-{
-    JsonObjectBuilder o;
-    std::size_t i = lo;
-    while (i < hi) {
-        const char *rest = fs[i].path + prefix_len;
-        const char *dot = std::strchr(rest, '.');
-        if (!dot) {
-            o.field(rest, fieldFragment(fs[i]));
-            i += 1;
-            continue;
-        }
-        std::string seg(rest, static_cast<std::size_t>(dot - rest));
-        std::size_t j = i;
-        while (j < hi &&
-               std::strncmp(fs[j].path + prefix_len, seg.c_str(),
-                            seg.size()) == 0 &&
-               fs[j].path[prefix_len + seg.size()] == '.')
-            j += 1;
-        o.field(seg, buildObject(fs, i, j, prefix_len + seg.size() + 1,
-                                 indent + 2)
-                         .render(indent + 2));
-        i = j;
-    }
-    return o;
-}
-
-/** Whole-string signed integer parse; "inf" means kInfiniteSize. */
-int
-parseIntValue(const std::string &s, const std::string &where)
-{
-    // Exact spelling only: lowered() strips separators, which would
-    // let "-inf" or "i n f" silently mean infinite.
-    if (s == "inf" || s == "Inf" || s == "INF")
-        return kInfiniteSize;
-    char *end = nullptr;
-    errno = 0;
-    // Base 10: base 0 would read zero-padded values as octal.
-    long v = std::strtol(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        badConfig("bad integer '" + s + "' at " + where);
-    if (errno == ERANGE || v < INT_MIN || v > INT_MAX)
-        badConfig("integer '" + s + "' out of range at " + where);
-    return static_cast<int>(v);
-}
-
-/** Parse an Int field's value and enforce the registry minimum. */
-int
-parseIntField(const Field &f, const std::string &s,
-              const std::string &where)
-{
-    int v = parseIntValue(s, where);
-    if (v < f.min)
-        badConfig(where + " must be at least " + std::to_string(f.min) +
-                  ", got " + s);
-    return v;
-}
-
-/** Whole-string unsigned 64-bit parse (rejects sign/fraction). */
-std::uint64_t
-parseU64Value(const std::string &s, const std::string &where)
-{
-    std::uint64_t v = 0;
-    if (!u64FromLexeme(s, &v))
-        badConfig("bad unsigned integer '" + s + "' at " + where);
-    return v;
-}
-
-/** Set one field from a parsed JSON value. */
+/** The shared setter (text or JSON), its errors prefixed like every
+ *  config error. */
+template <class Value>
 void
-setFromJson(const Field &f, const JsonValue &v, const std::string &where)
+setConfigField(const Field &f, const Value &v, const std::string &where)
 {
-    auto wantNumber = [&]() {
-        if (!v.isNumber())
-            badConfig(std::string("expected a number at ") + where +
-                      ", got " + JsonValue::kindName(v.kind));
-    };
-    switch (f.kind) {
-      case FieldKind::Int:
-        // Sizes additionally accept the string "inf".
-        if (!v.isString())
-            wantNumber();
-        *static_cast<int *>(f.p) = parseIntField(f, v.str, where);
-        return;
-      case FieldKind::U64:
-        wantNumber();
-        *static_cast<std::uint64_t *>(f.p) = parseU64Value(v.str, where);
-        return;
-      case FieldKind::Double:
-        wantNumber();
-        *static_cast<double *>(f.p) = v.num;
-        return;
-      case FieldKind::Bool:
-        if (!v.isBool())
-            badConfig(std::string("expected true/false at ") + where +
-                      ", got " + JsonValue::kindName(v.kind));
-        *static_cast<bool *>(f.p) = v.boolean;
-        return;
-      case FieldKind::String:
-      case FieldKind::Mode:
-      case FieldKind::Classifier:
-      case FieldKind::Wakeup:
-      case FieldKind::Fetch:
-        if (!v.isString())
-            badConfig(std::string("expected a string at ") + where +
-                      ", got " + JsonValue::kindName(v.kind));
-        if (f.kind == FieldKind::String)
-            *static_cast<std::string *>(f.p) = v.str;
-        else if (f.kind == FieldKind::Mode)
-            *static_cast<LtpMode *>(f.p) = parseMode(v.str, where);
-        else if (f.kind == FieldKind::Classifier)
-            *static_cast<ClassifierKind *>(f.p) =
-                parseClassifier(v.str, where);
-        else if (f.kind == FieldKind::Wakeup)
-            *static_cast<WakeupPolicy *>(f.p) = parseWakeup(v.str, where);
-        else
-            *static_cast<FetchPolicy *>(f.p) = parseFetch(v.str, where);
-        return;
+    try {
+        setField(f, v, where.c_str());
+    } catch (const std::runtime_error &e) {
+        badConfig(e.what());
     }
 }
 
@@ -607,7 +367,7 @@ applyObject(const std::vector<Field> &fs, const JsonValue &v,
                 is_group = true;
         }
         if (exact) {
-            setFromJson(*exact, val, err_path);
+            setConfigField(*exact, val, err_path);
         } else if (is_group) {
             if (!val.isObject())
                 badConfig("expected an object at " + err_path + ", got " +
@@ -625,9 +385,10 @@ std::string
 configToJson(const SimConfig &cfg, int indent)
 {
     // The registry needs mutable pointers; emission never writes.
-    SimConfig &c = const_cast<SimConfig &>(cfg);
-    std::vector<Field> fs = fieldsOf(c);
-    return buildObject(fs, 0, fs.size(), 0, indent).render(indent);
+    std::vector<Field> fs = fieldsOf(const_cast<SimConfig &>(cfg));
+    JsonObjectBuilder o;
+    writeFields(o, fs.data(), fs.size(), indent);
+    return o.render(indent);
 }
 
 SimConfig
@@ -655,51 +416,9 @@ void
 applyOverride(SimConfig &cfg, const std::string &path,
               const std::string &value)
 {
-    std::vector<Field> fs = fieldsOf(cfg);
-    for (const Field &f : fs) {
-        if (path != f.path)
-            continue;
-        switch (f.kind) {
-          case FieldKind::Int:
-            *static_cast<int *>(f.p) = parseIntField(f, value, path);
-            return;
-          case FieldKind::U64:
-            *static_cast<std::uint64_t *>(f.p) =
-                parseU64Value(value, path);
-            return;
-          case FieldKind::Double: {
-            char *end = nullptr;
-            double v = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0')
-                badConfig("bad number '" + value + "' at " + path);
-            *static_cast<double *>(f.p) = v;
-            return;
-          }
-          case FieldKind::Bool: {
-            std::string t = lowered(value);
-            if (t == "1" || t == "true" || t == "on")
-                *static_cast<bool *>(f.p) = true;
-            else if (t == "0" || t == "false" || t == "off")
-                *static_cast<bool *>(f.p) = false;
-            else
-                badConfig("bad boolean '" + value + "' at " + path);
-            return;
-          }
-          case FieldKind::String:
-            *static_cast<std::string *>(f.p) = value;
-            return;
-          case FieldKind::Mode:
-            *static_cast<LtpMode *>(f.p) = parseMode(value, path);
-            return;
-          case FieldKind::Classifier:
-            *static_cast<ClassifierKind *>(f.p) =
-                parseClassifier(value, path);
-            return;
-          case FieldKind::Wakeup:
-            *static_cast<WakeupPolicy *>(f.p) = parseWakeup(value, path);
-            return;
-          case FieldKind::Fetch:
-            *static_cast<FetchPolicy *>(f.p) = parseFetch(value, path);
+    for (const Field &f : fieldsOf(cfg)) {
+        if (path == f.path) {
+            setConfigField(f, value, path);
             return;
         }
     }
@@ -721,7 +440,9 @@ configPaths()
 LtpMode
 parseLtpMode(const std::string &s, const std::string &where)
 {
-    return parseMode(s, where);
+    LtpMode mode = LtpMode::Off;
+    setConfigField(Field{"", FieldKind::Mode, &mode}, s, where);
+    return mode;
 }
 
 } // namespace ltp

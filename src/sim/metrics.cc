@@ -24,47 +24,75 @@ Metrics::toString() const
     return os.str();
 }
 
+MetricFields
+metricFields(Metrics &m)
+{
+    auto S = [](const char *n, std::string &v) {
+        return Field{n, FieldKind::String, &v};
+    };
+    auto U = [](const char *n, std::uint64_t &v) {
+        return Field{n, FieldKind::U64, &v};
+    };
+    auto D = [](const char *n, double &v) {
+        return Field{n, FieldKind::Double, &v};
+    };
+    std::array table{
+        S("config", m.config),
+        S("workload", m.workload),
+        U("insts", m.insts),
+        U("cycles", m.cycles),
+        D("ipc", m.ipc),
+        D("cpi", m.cpi),
+        D("avgOutstanding", m.avgOutstanding),
+        D("avgLoadLatency", m.avgLoadLatency),
+        U("dramReads", m.dramReads),
+        D("iqOcc", m.iqOcc),
+        D("robOcc", m.robOcc),
+        D("lqOcc", m.lqOcc),
+        D("sqOcc", m.sqOcc),
+        D("rfOcc", m.rfOcc),
+        D("ltpOcc", m.ltpOcc),
+        D("ltpRegsOcc", m.ltpRegsOcc),
+        D("ltpLoadsOcc", m.ltpLoadsOcc),
+        D("ltpStoresOcc", m.ltpStoresOcc),
+        D("ltpEnabledFrac", m.ltpEnabledFrac),
+        D("parkedFrac", m.parkedFrac),
+        U("parked", m.parked),
+        U("unparked", m.unparked),
+        U("forcedUnparks", m.forcedUnparks),
+        U("pressureUnparks", m.pressureUnparks),
+        D("llpredAccuracy", m.llpredAccuracy),
+        D("bpAccuracy", m.bpAccuracy),
+        D("energy.iq", m.energy.iq),
+        D("energy.rf", m.energy.rf),
+        D("energy.ltp", m.energy.ltp),
+        D("ed2p", m.ed2p),
+        D("edp", m.edp),
+    };
+    // Sized by its rows: a row count that disagrees with MetricFields
+    // does not compile.
+    return table;
+}
+
 Metrics
 averageMetrics(const std::vector<Metrics> &runs, const std::string &label)
 {
     sim_assert(!runs.empty());
     Metrics avg;
+    MetricFields sum = metricFields(avg);
+    double n = double(runs.size());
+    for (const Metrics &m : runs) {
+        MetricFields f = metricFields(m);
+        for (std::size_t i = 0; i < f.size(); ++i) {
+            if (f[i].kind == FieldKind::U64)
+                fieldRef<std::uint64_t>(sum[i]) +=
+                    fieldRef<std::uint64_t>(f[i]);
+            else if (f[i].kind == FieldKind::Double)
+                fieldRef<double>(sum[i]) += fieldRef<double>(f[i]) / n;
+        }
+    }
     avg.config = runs.front().config;
     avg.workload = label;
-    double n = double(runs.size());
-
-    for (const Metrics &m : runs) {
-        avg.insts += m.insts;
-        avg.cycles += m.cycles;
-        avg.ipc += m.ipc / n;
-        avg.cpi += m.cpi / n;
-        avg.avgOutstanding += m.avgOutstanding / n;
-        avg.avgLoadLatency += m.avgLoadLatency / n;
-        avg.dramReads += m.dramReads;
-        avg.iqOcc += m.iqOcc / n;
-        avg.robOcc += m.robOcc / n;
-        avg.lqOcc += m.lqOcc / n;
-        avg.sqOcc += m.sqOcc / n;
-        avg.rfOcc += m.rfOcc / n;
-        avg.ltpOcc += m.ltpOcc / n;
-        avg.ltpRegsOcc += m.ltpRegsOcc / n;
-        avg.ltpLoadsOcc += m.ltpLoadsOcc / n;
-        avg.ltpStoresOcc += m.ltpStoresOcc / n;
-        avg.ltpEnabledFrac += m.ltpEnabledFrac / n;
-        avg.parkedFrac += m.parkedFrac / n;
-        avg.parked += m.parked;
-        avg.unparked += m.unparked;
-        avg.forcedUnparks += m.forcedUnparks;
-        avg.pressureUnparks += m.pressureUnparks;
-        avg.llpredAccuracy += m.llpredAccuracy / n;
-        avg.bpAccuracy += m.bpAccuracy / n;
-        avg.energy.iq += m.energy.iq / n;
-        avg.energy.rf += m.energy.rf / n;
-        avg.energy.ltp += m.energy.ltp / n;
-        avg.ed2p += m.ed2p / n;
-        avg.edp += m.edp / n;
-        avg.weightedSpeedup += m.weightedSpeedup / n;
-    }
 
     // Per-thread breakdowns average slot-wise when every run has the
     // same SMT shape (the usual case: one group over one config);

@@ -7,12 +7,14 @@
 #ifndef LTP_SIM_METRICS_HH
 #define LTP_SIM_METRICS_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "energy/energy_model.hh"
+#include "sim/fields.hh"
 
 namespace ltp {
 
@@ -138,9 +140,6 @@ struct Metrics
      *  golden-snapshotted) only when there are two or more — a
      *  single-threaded run's Metrics JSON is unchanged. */
     std::vector<ThreadMetrics> threads;
-    /** Sum over threads of IPC_i(SMT) / IPC_i(alone); zero until
-     *  computed against standalone baselines (weightedSpeedup()). */
-    double weightedSpeedup = 0.0;
     /// @}
 
     /** Interval-sampling summary; disabled for full-detail runs. */
@@ -170,7 +169,32 @@ struct Metrics
     std::string toString() const;
 };
 
-/** Arithmetic-mean aggregate of a group of runs (paper group averages). */
+/**
+ * The scalar fields of Metrics, in emission order: `config` and
+ * `workload` (String), then the U64 and Double measurements, the
+ * energy breakdown as `energy.iq`/`energy.rf`/`energy.ltp`, and
+ * `ed2p`, `edp`.  This table is the one list of them: the JSON codec
+ * (metricsToJson/metricsFromJson), the CSV columns, scenario claim
+ * metrics, and averageMetrics all loop over it, so a new scalar is a
+ * member plus one row here.  The `smt` and `sampling` blocks carry
+ * arrays and stay hand-written.
+ */
+using MetricFields = std::array<Field, 31>;
+
+/** The table over @p m's members. */
+MetricFields metricFields(Metrics &m);
+
+/** The table over a const Metrics, for readers; never write through it. */
+inline MetricFields
+metricFields(const Metrics &m)
+{
+    return metricFields(const_cast<Metrics &>(m));
+}
+
+/**
+ * Arithmetic-mean aggregate of a group of runs (paper group averages):
+ * U64 fields sum, Double fields average (adding v/n in run order).
+ */
 Metrics averageMetrics(const std::vector<Metrics> &runs,
                        const std::string &label);
 

@@ -15,48 +15,15 @@ namespace ltp {
 namespace {
 
 // Writing uses the shared ordered builder (common/json.hh) so field
-// order matches the Metrics declaration rather than map order.
+// order follows the Metrics table rather than map order.
 
 JsonObjectBuilder
 metricsObject(const Metrics &m, int indent)
 {
     JsonObjectBuilder o;
     o.u64("schemaVersion", kMetricsSchemaVersion);
-    o.str("config", m.config);
-    o.str("workload", m.workload);
-    o.u64("insts", m.insts);
-    o.u64("cycles", m.cycles);
-    o.num("ipc", m.ipc);
-    o.num("cpi", m.cpi);
-    o.num("avgOutstanding", m.avgOutstanding);
-    o.num("avgLoadLatency", m.avgLoadLatency);
-    o.u64("dramReads", m.dramReads);
-    o.num("iqOcc", m.iqOcc);
-    o.num("robOcc", m.robOcc);
-    o.num("lqOcc", m.lqOcc);
-    o.num("sqOcc", m.sqOcc);
-    o.num("rfOcc", m.rfOcc);
-    o.num("ltpOcc", m.ltpOcc);
-    o.num("ltpRegsOcc", m.ltpRegsOcc);
-    o.num("ltpLoadsOcc", m.ltpLoadsOcc);
-    o.num("ltpStoresOcc", m.ltpStoresOcc);
-    o.num("ltpEnabledFrac", m.ltpEnabledFrac);
-    o.num("parkedFrac", m.parkedFrac);
-    o.u64("parked", m.parked);
-    o.u64("unparked", m.unparked);
-    o.u64("forcedUnparks", m.forcedUnparks);
-    o.u64("pressureUnparks", m.pressureUnparks);
-    o.num("llpredAccuracy", m.llpredAccuracy);
-    o.num("bpAccuracy", m.bpAccuracy);
-
-    JsonObjectBuilder energy;
-    energy.num("iq", m.energy.iq);
-    energy.num("rf", m.energy.rf);
-    energy.num("ltp", m.energy.ltp);
-    o.field("energy", energy.render(indent + 2));
-
-    o.num("ed2p", m.ed2p);
-    o.num("edp", m.edp);
+    MetricFields fs = metricFields(m);
+    writeFields(o, fs.data(), fs.size(), indent);
 
     // SMT breakdown: emitted only for genuinely multi-context runs so
     // single-threaded Metrics JSON (and the committed golden
@@ -77,7 +44,6 @@ metricsObject(const Metrics &m, int indent)
         }
         arr += std::string(indent + 2, ' ') + "]";
         JsonObjectBuilder smt;
-        smt.num("weightedSpeedup", m.weightedSpeedup);
         smt.field("threads", arr);
         o.field("smt", smt.render(indent + 2));
     }
@@ -177,43 +143,12 @@ metricsFromJson(const JsonValue &root)
             static_cast<unsigned long long>(version),
             kMetricsSchemaVersion));
 
+    // Absent fields keep their zero defaults; present ones must have
+    // the kind the table says.
     Metrics m;
-    m.config = strAt(root, "config");
-    m.workload = strAt(root, "workload");
-    m.insts = u64At(root, "insts");
-    m.cycles = u64At(root, "cycles");
-    m.ipc = numAt(root, "ipc");
-    m.cpi = numAt(root, "cpi");
-    m.avgOutstanding = numAt(root, "avgOutstanding");
-    m.avgLoadLatency = numAt(root, "avgLoadLatency");
-    m.dramReads = u64At(root, "dramReads");
-    m.iqOcc = numAt(root, "iqOcc");
-    m.robOcc = numAt(root, "robOcc");
-    m.lqOcc = numAt(root, "lqOcc");
-    m.sqOcc = numAt(root, "sqOcc");
-    m.rfOcc = numAt(root, "rfOcc");
-    m.ltpOcc = numAt(root, "ltpOcc");
-    m.ltpRegsOcc = numAt(root, "ltpRegsOcc");
-    m.ltpLoadsOcc = numAt(root, "ltpLoadsOcc");
-    m.ltpStoresOcc = numAt(root, "ltpStoresOcc");
-    m.ltpEnabledFrac = numAt(root, "ltpEnabledFrac");
-    m.parkedFrac = numAt(root, "parkedFrac");
-    m.parked = u64At(root, "parked");
-    m.unparked = u64At(root, "unparked");
-    m.forcedUnparks = u64At(root, "forcedUnparks");
-    m.pressureUnparks = u64At(root, "pressureUnparks");
-    m.llpredAccuracy = numAt(root, "llpredAccuracy");
-    m.bpAccuracy = numAt(root, "bpAccuracy");
-
-    auto energy = root.object.find("energy");
-    if (energy != root.object.end()) {
-        m.energy.iq = numAt(energy->second, "iq");
-        m.energy.rf = numAt(energy->second, "rf");
-        m.energy.ltp = numAt(energy->second, "ltp");
-    }
-
-    m.ed2p = numAt(root, "ed2p");
-    m.edp = numAt(root, "edp");
+    for (const Field &f : metricFields(m))
+        if (const JsonValue *v = jsonAtPath(root, f.path))
+            setField(f, *v, f.path);
 
     auto sampling = root.object.find("sampling");
     if (sampling != root.object.end() && sampling->second.isObject()) {
@@ -243,7 +178,6 @@ metricsFromJson(const JsonValue &root)
 
     auto smt = root.object.find("smt");
     if (smt != root.object.end() && smt->second.isObject()) {
-        m.weightedSpeedup = numAt(smt->second, "weightedSpeedup");
         auto threads = smt->second.object.find("threads");
         if (threads != smt->second.object.end() &&
             threads->second.isArray()) {
@@ -348,27 +282,30 @@ reportToCsv(const SweepResult &result)
         return out.str();
     };
     std::ostringstream out;
-    out << "row,series,config,workload,insts,cycles,ipc,cpi,"
-        << "avgOutstanding,avgLoadLatency,dramReads,iqOcc,rfOcc,ltpOcc,"
-        << "parkedFrac,ed2p,edp,"
-        << "threads,threadWorkloads,threadInsts,threadCycles,"
-        << "threadIpcs,weightedSpeedup,samples,ipcCi95\n";
+    Metrics none;
+    out << "row,series";
+    for (const Field &f : metricFields(none))
+        out << ',' << f.path;
+    out << ",threads,threadWorkloads,threadInsts,threadCycles,threadIpcs,"
+        << "samples,ipcCi95\n";
     for (const std::string &row : result.grid.rows()) {
         for (const std::string &series : result.grid.series(row)) {
             const Metrics &m = result.grid.at(row, series);
-            out << csvField(row) << ',' << csvField(series) << ','
-                << csvField(m.config) << ',' << csvField(m.workload)
-                << ',' << m.insts << ',' << m.cycles << ','
-                << m.ipc << ',' << m.cpi << ',' << m.avgOutstanding << ','
-                << m.avgLoadLatency << ',' << m.dramReads << ','
-                << m.iqOcc << ',' << m.rfOcc << ',' << m.ltpOcc << ','
-                << m.parkedFrac << ',' << m.ed2p << ',' << m.edp << ','
-                << m.threads.size() << ','
+            out << csvField(row) << ',' << csvField(series) << ',';
+            for (const Field &f : metricFields(m)) {
+                if (f.kind == FieldKind::String)
+                    out << csvField(fieldRef<std::string>(f));
+                else if (f.kind == FieldKind::U64)
+                    out << fieldRef<std::uint64_t>(f);
+                else
+                    out << fieldRef<double>(f);
+                out << ',';
+            }
+            out << m.threads.size() << ','
                 << csvField(joinThreads(m, &ThreadMetrics::workload))
                 << ',' << joinThreads(m, &ThreadMetrics::insts) << ','
                 << joinThreads(m, &ThreadMetrics::cycles) << ','
-                << joinThreads(m, &ThreadMetrics::ipc)
-                << ',' << m.weightedSpeedup << ','
+                << joinThreads(m, &ThreadMetrics::ipc) << ','
                 << m.sampling.samples << ',';
             // Empty CI field = unavailable (non-sampled row, or a
             // sampled run with too few samples for an interval).

@@ -51,7 +51,8 @@ JsonValue sweepResultToJson(const SweepResult &result);
  */
 SweepResult sweepResultFromJson(const JsonValue &v);
 
-/** Flat CSV: row, series, then one column per Metrics field. */
+/** Flat CSV: row, series, one column per Metrics table field, the
+ *  per-thread lists, then samples and ipcCi95. */
 std::string reportToCsv(const SweepResult &result);
 
 /** Write @p text to @p path; fatal() if the file cannot be opened. */

@@ -102,6 +102,10 @@ ResultCache::entryPath(const std::string &hexKey) const
 bool
 ResultCache::lookup(const CellKey &key, Metrics *out) const
 {
+    // Only a digest addresses an entry: anything else (a path, a
+    // forged name) must never reach the filesystem.
+    if (!isHexKey(key.hex))
+        return false;
     std::ifstream in(entryPath(key.hex), std::ios::binary);
     if (!in)
         return false;
@@ -119,6 +123,8 @@ void
 ResultCache::store(const CellKey &key, const SimConfig &cfg,
                    const RunLengths &lengths, const Metrics &m) const
 {
+    if (!isHexKey(key.hex))
+        return;
     std::string path = entryPath(key.hex);
     fs::path target(path);
 

@@ -68,10 +68,12 @@ class ResultCache
 
     const std::string &dir() const { return dir_; }
 
-    /** @return true and fill @p out on a valid entry for @p key. */
+    /** @return true and fill @p out on a valid entry for @p key.  A
+     *  key that is not 64 lowercase hex digits is a miss. */
     bool lookup(const CellKey &key, Metrics *out) const;
 
-    /** Persist @p m under @p key (atomic rename; last writer wins). */
+    /** Persist @p m under @p key (atomic rename; last writer wins).
+     *  A key that is not 64 lowercase hex digits stores nothing. */
     void store(const CellKey &key, const SimConfig &cfg,
                const RunLengths &lengths, const Metrics &m) const;
 

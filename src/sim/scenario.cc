@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "common/logging.hh"
-#include "sim/report.hh"
 #include "trace/suite.hh"
 #include "trace/trace_workload.hh"
 
@@ -464,16 +463,19 @@ parseJob(const JsonValue &v, std::size_t index,
     return job;
 }
 
-/** metric(m) by metricsToJson field name; false if no such number. */
+/** metric(m) by Metrics table path; false if no such number. */
 bool
 metricField(const Metrics &m, const std::string &name, double *out)
 {
-    JsonValue root = parseJson(metricsToJson(m));
-    auto it = root.object.find(name);
-    if (it == root.object.end() || !it->second.isNumber())
-        return false;
-    *out = it->second.num;
-    return true;
+    for (const Field &f : metricFields(m)) {
+        if (name != f.path || f.kind == FieldKind::String)
+            continue;
+        *out = f.kind == FieldKind::U64
+                   ? double(fieldRef<std::uint64_t>(f))
+                   : fieldRef<double>(f);
+        return true;
+    }
+    return false;
 }
 
 GridCell
@@ -503,7 +505,7 @@ parseClaim(const JsonValue &v, std::size_t index)
     double unused = 0.0;
     if (!metricField(Metrics{}, c.metric, &unused))
         bad("unknown metric '" + c.metric + "' at " + where +
-            ".metric (expected a numeric Metrics JSON field, e.g. ipc)");
+            ".metric (expected a numeric Metrics field, e.g. ipc)");
     if (const JsonValue *vs = find(v, "vs")) {
         c.hasVs = true;
         c.vs = parseCell(*vs, where + ".vs");

@@ -111,7 +111,8 @@ struct GridCell
 /**
  * A checked expectation: metric(cell), or metric(cell)/metric(vs) when
  * `vs` is given, must lie within [min, max].  Metric names are the
- * numeric fields of metricsToJson.
+ * numeric paths of the Metrics table (metricFields), e.g. `ipc` or
+ * `energy.iq`.
  */
 struct ScenarioClaim
 {

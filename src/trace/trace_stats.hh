@@ -1,7 +1,7 @@
 /**
  * @file
- * Static/dynamic instruction-mix statistics over a trace prefix.
- * Used by tests (mix sanity) and the classification inspector example.
+ * Static/dynamic instruction-mix statistics over a trace prefix,
+ * used by the kernel-mix sanity tests.
  */
 
 #ifndef LTP_TRACE_TRACE_STATS_HH

@@ -190,7 +190,7 @@ for bad in core.fu.ld=0 core.commitWidth=0; do
     [ "$status" -eq 1 ] || fail "--set $bad exited $status"
     grep -q "${bad%=*}" bad.log || fail "--set $bad error does not name it"
 done
-for bad in detail=2k seed=abc detail=0100; do
+for bad in detail=2k seed=abc detail=0100 detail=-1 threads=-3; do
     status=0
     "$LTP" run --kernel=linked_list "--$bad" 2>bad.log || status=$?
     cat bad.log

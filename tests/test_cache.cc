@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -217,6 +218,34 @@ TEST_F(CacheTest, FutureSchemaVersionsReadAsMisses)
     EXPECT_EQ(cache.stats().invalid, 1u);
     EXPECT_EQ(cache.gc(), 1u);
     EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+TEST_F(CacheTest, OnlyHexDigestKeysReachTheDisk)
+{
+    // The cache lives three levels down, so even "../../escaped" would
+    // land inside dir_; every bad key below is a miss on lookup and
+    // writes nothing on store, anywhere.
+    std::string dir = dir_ + "/x/y/cache";
+    ResultCache cache(dir);
+    SimConfig cfg = SimConfig::baseline();
+    Metrics m;
+    m.ipc = 1.0;
+    std::string good = cellKeyFor(cfg, "paper_loop", tiny()).hex;
+    std::string upper = good;
+    for (char &c : upper)
+        c = char(std::toupper(static_cast<unsigned char>(c)));
+    for (const std::string &bad :
+         {std::string("../../escaped"), std::string(""), good.substr(1),
+          good + "0", upper, "/" + good.substr(1),
+          good.substr(0, 63) + "g"}) {
+        CellKey key{bad, "paper_loop"};
+        cache.store(key, cfg, tiny(), m);
+        EXPECT_FALSE(cache.lookup(key, nullptr)) << bad;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir_));
+
+    cache.store(CellKey{good, "paper_loop"}, cfg, tiny(), m);
+    EXPECT_TRUE(cache.lookup(CellKey{good, "paper_loop"}, nullptr));
 }
 
 TEST(MetricsSchema, ReaderRejectsNewerVersions)

@@ -376,6 +376,9 @@ TEST(DistributedShutdownTest, ShutdownDrainsInflightCells)
     opts.threads = 2;
     opts.cacheDir = cache_dir;
     opts.quiet = true;
+    // The drain window must outlast the cell in any build: a Debug
+    // ASan/UBSan build takes ~35 s over it, past the 10 s default.
+    opts.drainTimeoutMs = 300000;
     Server server(opts);
     server.start();
 

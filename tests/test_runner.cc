@@ -293,6 +293,84 @@ TEST(Report, MetricsJsonRoundTripIsExact)
     EXPECT_EQ(back.edp, m.edp);
 }
 
+/** Every Metrics table field set to a value no other field has
+ *  (U64s above 2^53, so only the exact lexeme round-trips them). */
+Metrics
+everyFieldDistinct()
+{
+    Metrics m;
+    int i = 0;
+    for (const Field &f : metricFields(m)) {
+        i += 1;
+        if (f.kind == FieldKind::String)
+            fieldRef<std::string>(f) =
+                "s" + std::to_string(i) + " \"quoted\", a\\path";
+        else if (f.kind == FieldKind::U64)
+            fieldRef<std::uint64_t>(f) = (1ull << 60) + std::uint64_t(i);
+        else
+            fieldRef<double>(f) = i + 1.0 / 3.0;
+    }
+    return m;
+}
+
+TEST(Report, EveryTableFieldRoundTripsExactly)
+{
+    Metrics m = everyFieldDistinct();
+    std::string json = metricsToJson(m);
+    Metrics back = metricsFromJson(json);
+    MetricFields want = metricFields(m), got = metricFields(back);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(want[i].path);
+        if (want[i].kind == FieldKind::String)
+            EXPECT_EQ(fieldRef<std::string>(got[i]),
+                      fieldRef<std::string>(want[i]));
+        else if (want[i].kind == FieldKind::U64)
+            EXPECT_EQ(fieldRef<std::uint64_t>(got[i]),
+                      fieldRef<std::uint64_t>(want[i]));
+        else
+            EXPECT_EQ(fieldRef<double>(got[i]), fieldRef<double>(want[i]));
+    }
+    EXPECT_EQ(metricsToJson(back), json);
+    // Dotted paths nest: energy.iq is "iq" inside "energy".
+    EXPECT_NE(json.find("\"energy\": {"), std::string::npos) << json;
+
+    // CSV: row, series, one column per table field, then the rest.
+    SweepResult result;
+    result.grid.put("r", "s", m);
+    std::string csv = reportToCsv(result);
+    std::string header = csv.substr(0, csv.find('\n'));
+    std::string expect = "row,series";
+    for (const Field &f : want)
+        expect += std::string(",") + f.path;
+    EXPECT_EQ(header.rfind(expect + ",threads,", 0), 0u) << header;
+    EXPECT_NE(header.find(",samples,ipcCi95"), std::string::npos);
+    EXPECT_EQ(header.find("weightedSpeedup"), std::string::npos);
+    EXPECT_NE(csv.find(",1152921504606846979,"), std::string::npos)
+        << csv; // insts, the third row of the table
+}
+
+TEST(Report, PresentFieldsMustHaveTheTableKind)
+{
+    // Absent fields keep their defaults; a present one of the wrong
+    // kind is an error naming it.
+    Metrics m = metricsFromJson("{\"ipc\": 1.5}");
+    EXPECT_EQ(m.ipc, 1.5);
+    EXPECT_EQ(m.insts, 0u);
+    for (const char *bad :
+         {"{\"insts\": 2.5}", "{\"insts\": -1}", "{\"ipc\": \"x\"}",
+          "{\"config\": 3}", "{\"energy\": {\"iq\": true}}"}) {
+        try {
+            metricsFromJson(bad);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            std::string key = std::string(bad).substr(2);
+            key = key.substr(0, key.find('"'));
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Report, MalformedJsonThrows)
 {
     EXPECT_THROW(metricsFromJson("{\"ipc\": "), std::runtime_error);

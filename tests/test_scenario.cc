@@ -414,6 +414,43 @@ TEST(Scenario, ClaimsEvaluateMetricsAndRatios)
     EXPECT_FALSE(plain.holds(0.0 / 0.0));
 }
 
+TEST(Scenario, ClaimsReadEveryNumericTableField)
+{
+    Metrics m;
+    int i = 0;
+    for (const Field &f : metricFields(m)) {
+        i += 1;
+        if (f.kind == FieldKind::U64)
+            fieldRef<std::uint64_t>(f) = std::uint64_t(i);
+        else if (f.kind == FieldKind::Double)
+            fieldRef<double>(f) = i + 0.5;
+    }
+    ResultGrid grid;
+    grid.put("k", "a", m);
+    for (const Field &f : metricFields(m)) {
+        if (f.kind == FieldKind::String)
+            continue;
+        ScenarioClaim c;
+        c.cell = {"k", "a"};
+        c.metric = f.path;
+        double want = f.kind == FieldKind::U64
+                          ? double(fieldRef<std::uint64_t>(f))
+                          : fieldRef<double>(f);
+        EXPECT_EQ(c.value(grid), want) << f.path;
+    }
+
+    // Nested paths are claimable; string fields are not.
+    const std::string head =
+        "{\"name\": \"x\", \"workloads\": {\"kernels\": "
+        "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}], "
+        "\"claims\": [{\"what\": \"w\", \"cell\": {\"row\": "
+        "\"graph_walk\", \"series\": \"a\"}, \"min\": 0, \"metric\": ";
+    EXPECT_EQ(scenarioFromJson(head + "\"energy.iq\"}]}").claims.size(), 1u);
+    expectParseErrorContains(head + "\"config\"}]}", "claims[0].metric");
+    expectParseErrorContains(head + "\"schemaVersion\"}]}",
+                             "claims[0].metric");
+}
+
 TEST(Scenario, GroupWorkloadsAverageLikeAddGroup)
 {
     Scenario sc = scenarioFromJson(

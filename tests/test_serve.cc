@@ -20,7 +20,9 @@
 
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "serve/wire.hh"
 #include "sim/cell_key.hh"
+#include "sim/config.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
 #include "sim/simulator.hh"
@@ -233,6 +235,97 @@ TEST_F(ServeTest, ZeroUnitCountComesBackAsErrorNamingTheField)
             << e.what();
     }
     EXPECT_NO_THROW(client->rpc("ping"));
+}
+
+/** Send @p frame (stamped with id 1) on a fresh raw connection and
+ *  return the reply, skipping progress pushes. */
+JsonValue
+rawCall(int port, JsonValue frame)
+{
+    frame.object["id"] = jsonU64(1);
+    LineConn conn(connectTcp("127.0.0.1", port));
+    conn.writeFrame(frame);
+    std::string line;
+    while (conn.readLine(line)) {
+        JsonValue reply = parseJson(line);
+        if (reply.object.count("id"))
+            return reply;
+    }
+    ADD_FAILURE() << "connection closed without a reply";
+    return {};
+}
+
+/** A `run` frame for @p workload under @p cfg carrying @p key. */
+JsonValue
+runFrameWithKey(const std::string &key, const SimConfig &cfg,
+                const std::string &workload)
+{
+    JsonValue frame = objectFrame("run");
+    frame.object["key"] = jsonStr(key);
+    frame.object["workload"] = jsonStr(workload);
+    frame.object["config"] = parseJson(configToJson(cfg));
+    frame.object["lengths"] = lengthsJson(tiny());
+    return frame;
+}
+
+TEST_F(ServeTest, ForgedKeyCannotPoisonAnotherCell)
+{
+    // A frame pairing paper_loop/baseline's key with another cell's
+    // work must not make that work the answer for paper_loop/baseline.
+    SimConfig honest = SimConfig::baseline();
+    CellKey key = cellKeyFor(honest, "paper_loop", tiny());
+    JsonValue forged = rawCall(
+        server_->port(),
+        runFrameWithKey(key.hex, SimConfig::ltpProposal(), "linked_list"));
+    ASSERT_EQ(forged.object.at("type").str, "result");
+
+    auto client = connect();
+    CellResult r =
+        client->runCell(key, honest, "paper_loop", tiny(), SamplePlan{});
+    EXPECT_FALSE(r.cacheHit);
+    EXPECT_EQ(metricsToJson(r.metrics),
+              metricsToJson(Simulator::runOnce(honest, "paper_loop", tiny())));
+}
+
+TEST_F(ServeTest, PathEscapingKeyWritesNothingOutsideTheCache)
+{
+    // A daemon whose cache sits three levels below this test's scratch
+    // directory, and a key that would climb out of it.
+    namespace fs = std::filesystem;
+    std::string cache = cacheDir_ + "/a/b/cache";
+    ServeOptions opts;
+    opts.port = 0;
+    opts.threads = 2;
+    opts.cacheDir = cache;
+    opts.quiet = true;
+    Server daemon(opts);
+    daemon.start();
+
+    const std::string key = "../../escaped";
+    fs::path target = fs::weakly_canonical(
+        cache + "/" + key.substr(0, 2) + "/" + key.substr(2, 2) + "/" +
+        key + ".json");
+    ASSERT_EQ(target, fs::weakly_canonical(cacheDir_ + "/escaped.json"));
+
+    JsonValue run = rawCall(
+        daemon.port(),
+        runFrameWithKey(key, SimConfig::baseline(), "paper_loop"));
+    EXPECT_EQ(run.object.at("type").str, "result");
+    JsonValue lookup = objectFrame("lookup");
+    lookup.object["key"] = jsonStr(key);
+    JsonValue found = rawCall(daemon.port(), lookup);
+    EXPECT_FALSE(found.object.at("found").boolean);
+    daemon.stop();
+
+    EXPECT_FALSE(fs::exists(target));
+    // The one result went under its derived key, inside the cache.
+    std::size_t outside = 0, inside = 0;
+    for (const auto &e : fs::recursive_directory_iterator(cacheDir_))
+        if (e.is_regular_file())
+            (e.path().string().rfind(cache + "/", 0) == 0 ? inside
+                                                         : outside) += 1;
+    EXPECT_EQ(inside, 1u);
+    EXPECT_EQ(outside, 0u);
 }
 
 // ---------------------------------------------------------------------------

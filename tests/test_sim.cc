@@ -152,6 +152,43 @@ TEST(Metrics, AverageAggregates)
     EXPECT_EQ(avg.workload, "group");
 }
 
+TEST(Metrics, AverageSumsU64AndMeansDoublesOverTheTable)
+{
+    // Three runs with a different value in every table field.
+    std::vector<Metrics> runs(3);
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        int i = 0;
+        for (const Field &f : metricFields(runs[r])) {
+            i += 1;
+            if (f.kind == FieldKind::String)
+                fieldRef<std::string>(f) = "run" + std::to_string(r);
+            else if (f.kind == FieldKind::U64)
+                fieldRef<std::uint64_t>(f) = std::uint64_t(100 * r + i);
+            else
+                fieldRef<double>(f) = 0.1 * double(i) + 0.7 * double(r);
+        }
+    }
+    Metrics avg = averageMetrics(runs, "group");
+    EXPECT_EQ(avg.config, "run0");
+    EXPECT_EQ(avg.workload, "group");
+    MetricFields got = metricFields(avg);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE(got[i].path);
+        if (got[i].kind == FieldKind::U64) {
+            std::uint64_t sum = 0;
+            for (const Metrics &m : runs)
+                sum += fieldRef<std::uint64_t>(metricFields(m)[i]);
+            EXPECT_EQ(fieldRef<std::uint64_t>(got[i]), sum);
+        } else if (got[i].kind == FieldKind::Double) {
+            // Bit-exact: v/n added in run order.
+            double mean = 0.0;
+            for (const Metrics &m : runs)
+                mean += fieldRef<double>(metricFields(m)[i]) / 3.0;
+            EXPECT_EQ(fieldRef<double>(got[i]), mean);
+        }
+    }
+}
+
 TEST(Metrics, DeltasAgainstBase)
 {
     Metrics base;

@@ -270,7 +270,6 @@ TEST(SmtMetricsJson, RoundTripCoversPerThreadFields)
     m.insts = 3000;
     m.cycles = 1234;
     m.ipc = 2.431;
-    m.weightedSpeedup = 1.625;
     ThreadMetrics t0;
     t0.workload = "a";
     t0.insts = 1500;
@@ -292,7 +291,6 @@ TEST(SmtMetricsJson, RoundTripCoversPerThreadFields)
     EXPECT_EQ(back.threads[0].insts, 1500u);
     EXPECT_EQ(back.threads[1].cycles, 987u);
     EXPECT_DOUBLE_EQ(back.threads[0].ipc, 1.2156);
-    EXPECT_DOUBLE_EQ(back.weightedSpeedup, 1.625);
     // Second trip is textually stable.
     EXPECT_EQ(json, metricsToJson(back));
 }

@@ -243,8 +243,8 @@ printClaims(const std::vector<ScenarioClaim> &claims,
 }
 
 /** The --progress stderr heartbeat of sample and sweep: cells done /
- *  total, cache hits when a caching backend is in play, and the live
- *  sampling phase label under a sampled plan. */
+ *  total, cache hits when a cache or daemon backend is in play, and
+ *  the live sampling phase label under a sampled plan. */
 ProgressFn
 progressFn(const Cli &cli, const std::string &name, bool caching)
 {
@@ -319,8 +319,7 @@ runKernels(const Cli &cli, const std::string &what, const SimConfig &cfg,
         spec.add(k, cfg.name, cfg, k);
     ExecBackendPtr backend = makeBackend(cli);
     return Runner(int(cli.integer("threads", 0)), backend)
-        .run(spec, progressFn(cli, spec.name,
-                              backend && backend->wantsKey()));
+        .run(spec, progressFn(cli, spec.name, backend != nullptr));
 }
 
 // ---------------------------------------------------------------------------
@@ -463,7 +462,7 @@ cmdSweep(const Cli &cli)
                           .c_str()
                     : "");
     SweepResult result = Runner(threads, backend).run(
-        spec, progressFn(cli, spec.name, backend && backend->wantsKey()));
+        spec, progressFn(cli, spec.name, backend != nullptr));
     printGrid(result);
     printClaims(scenario.claims, result.grid);
     finishSweep(cli, result);
