@@ -55,6 +55,34 @@ jsonField(const JsonValue &obj, const std::string &key, JsonValue::Kind kind)
     return it->second;
 }
 
+JsonValue
+jsonStr(const std::string &s)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::String;
+    v.str = s;
+    return v;
+}
+
+JsonValue
+jsonU64(std::uint64_t n)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Number;
+    v.num = double(n);
+    v.str = std::to_string(n);
+    return v;
+}
+
+JsonValue
+jsonBool(bool b)
+{
+    JsonValue v;
+    v.kind = JsonValue::Kind::Bool;
+    v.boolean = b;
+    return v;
+}
+
 std::string
 jsonQuote(const std::string &s)
 {
@@ -157,10 +185,15 @@ class JsonParser
     value()
     {
         char c = peek();
-        if (c == '{')
-            return objectValue();
-        if (c == '[')
-            return arrayValue();
+        if (c == '{' || c == '[') {
+            if (depth_ == kJsonMaxDepth)
+                fail("nesting deeper than " +
+                     std::to_string(kJsonMaxDepth) + " levels");
+            depth_ += 1;
+            JsonValue v = c == '{' ? objectValue() : arrayValue();
+            depth_ -= 1;
+            return v;
+        }
         if (c == '"')
             return stringValue();
         if (c == 't' || c == 'f') {
@@ -281,6 +314,7 @@ class JsonParser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0; ///< open arrays/objects around pos_
 };
 
 /** Render @p v; @p indent < 0 selects the single-line compact form. */

@@ -44,9 +44,16 @@ struct JsonValue
     static const char *kindName(Kind kind);
 };
 
+/** Deepest array/object nesting parseJson accepts.  Legitimate
+ *  documents (scenario files, serve frames) nest under ten levels;
+ *  the bound keeps the recursive reader's stack use fixed whatever
+ *  the input. */
+inline constexpr int kJsonMaxDepth = 128;
+
 /**
  * Parse @p text into a value tree.
- * @throws std::runtime_error naming the byte offset on malformed input.
+ * @throws std::runtime_error naming the byte offset on malformed input
+ *         or nesting deeper than kJsonMaxDepth.
  */
 JsonValue parseJson(const std::string &text);
 
@@ -79,6 +86,14 @@ bool u64FromLexeme(const std::string &s, std::uint64_t *out);
  *  @throws std::runtime_error "'<key>' is missing or not <kind>". */
 const JsonValue &jsonField(const JsonValue &obj, const std::string &key,
                            JsonValue::Kind kind);
+
+/// @name Value builders
+/// @{
+JsonValue jsonStr(const std::string &s);
+/** Exact integer (lexeme kept, so u64FromLexeme round-trips). */
+JsonValue jsonU64(std::uint64_t n);
+JsonValue jsonBool(bool b);
+/// @}
 
 /** Quote and escape @p s as a JSON string literal. */
 std::string jsonQuote(const std::string &s);

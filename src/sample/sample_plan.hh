@@ -23,8 +23,11 @@
 #ifndef LTP_SAMPLE_SAMPLE_PLAN_HH
 #define LTP_SAMPLE_SAMPLE_PLAN_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
+
+#include "sim/fields.hh"
 
 namespace ltp {
 
@@ -56,6 +59,24 @@ struct SamplePlan
         return SamplePlan{40000, 2000, 10000, 8};
     }
 };
+
+/**
+ * SamplePlan's field table (sim/fields.hh): `samples`, `fastForward`,
+ * `warmup`, `detail`, in that order — the spelling of every `sampling`
+ * object and the leading rows of Metrics' sampling block.  `samples`
+ * and `detail` have a minimum of 1: a plan read from a file, a frame
+ * or a flag is always runnable.
+ */
+using SamplePlanFields = std::array<Field, 4>;
+
+SamplePlanFields samplePlanFields(SamplePlan &p);
+
+/** The table over a const SamplePlan, for writers. */
+inline SamplePlanFields
+samplePlanFields(const SamplePlan &p)
+{
+    return samplePlanFields(const_cast<SamplePlan &>(p));
+}
 
 } // namespace ltp
 

@@ -22,6 +22,15 @@ SamplePlan::toString() const
                      (unsigned long long)detail, samples);
 }
 
+SamplePlanFields
+samplePlanFields(SamplePlan &p)
+{
+    return {Field{"samples", FieldKind::Int, &p.samples, 1},
+            Field{"fastForward", FieldKind::U64, &p.fastForward},
+            Field{"warmup", FieldKind::U64, &p.warmup},
+            Field{"detail", FieldKind::U64, &p.detail, 1}};
+}
+
 Sampler::Sampler(const SimConfig &cfg, const std::string &kernel,
                  const SamplePlan &plan)
     : cfg_(cfg), plan_(plan), kernel_(kernel)
@@ -151,10 +160,7 @@ Sampler::run(const PhaseFn &phase)
 
     Metrics agg = averageMetrics(runs, runs.front().workload);
     SamplingStats &s = agg.sampling;
-    s.samples = plan_.samples;
-    s.fastForward = plan_.fastForward;
-    s.warmup = plan_.warmup;
-    s.detail = plan_.detail;
+    static_cast<SamplePlan &>(s) = plan_;
     s.ffKips = ff_->kips();
     s.sampleIpcs.reserve(runs.size());
     for (const Metrics &m : runs)

@@ -196,12 +196,13 @@ ServeBackend::runCell(const CellKey &, const SimConfig &cfg,
     // No key: the daemon derives it from what it will run.
     JsonValue frame = objectFrame("run");
     frame.object["workload"] = jsonStr(workload);
-    frame.object["config"] = parseJson(configToJson(cfg));
-    frame.object["lengths"] = lengthsJson(lengths);
+    frame.object["config"] = configToValue(cfg);
+    frame.object["lengths"] = fieldsToValue(lengthFields(lengths));
     // Omitted when disabled: non-sampled clients stay wire-compatible
     // with protocol-v1 daemons.
     if (sampling.enabled())
-        frame.object["sampling"] = samplingJson(sampling);
+        frame.object["sampling"] =
+            fieldsToValue(samplePlanFields(sampling));
 
     JsonValue reply = call(std::move(frame));
 

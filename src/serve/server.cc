@@ -427,8 +427,8 @@ ServerImpl::handleRun(const std::shared_ptr<Conn> &conn, std::uint64_t id,
 {
     // Parse on the reader thread so malformed requests fail fast (and
     // the pool only ever sees well-formed work).
-    SimConfig cfg =
-        configFromJson(writeJsonCompact(frameObject(frame, "config")));
+    SimConfig cfg;
+    applyConfigJson(cfg, frameObject(frame, "config"), "config");
     std::string workload = frameStr(frame, "workload");
     validateWorkload(workload);
     RunLengths lengths = parseLengths(frameObject(frame, "lengths"),
@@ -485,8 +485,8 @@ ServerImpl::handleScenario(const std::shared_ptr<Conn> &conn,
     // Compile server-side: relative trace paths resolve against the
     // daemon's --trace-dir, so the client ships scenario text, never
     // trace files.
-    Scenario scenario = scenarioFromJson(
-        writeJsonCompact(frameObject(frame, "scenario")), opts.traceDir);
+    Scenario scenario =
+        scenarioFromJson(frameObject(frame, "scenario"), opts.traceDir);
 
     // The stock Runner over the same cell chain as run frames: the
     // grid and its group reduction are bit-identical to a local sweep,

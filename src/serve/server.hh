@@ -7,10 +7,11 @@
  * Protocol (one compact-JSON frame per line, see serve/wire.hh):
  *
  *   → {"id":N,"type":"run","workload":"<name>",
- *      "config":{...},"lengths":{"funcWarm":F,"pipeWarm":P,"detail":D},
- *      "sampling":{"fastForward":F,"warmup":W,"detail":D,"samples":N}}
- *      (the optional "sampling" object selects interval sampling; the
- *      daemon derives the cell key and ignores any "key" sent)
+ *      "config":{...},"lengths":{...},"sampling":{...}}
+ *      (config, lengths and sampling spelled by their field tables:
+ *      configToValue, lengthFields, samplePlanFields; the optional
+ *      "sampling" object selects interval sampling; the daemon
+ *      derives the cell key and ignores any "key" sent)
  *   ← {"id":N,"type":"result","hit":B,"deduped":B,"metrics":{...}}
  *   ← {"type":"progress","done":D,"total":T,"hits":H}   (per connection)
  *   → {"id":N,"type":"scenario","scenario":{...}}       (whole scenario)
@@ -24,6 +25,9 @@
  *   → {"id":N,"type":"shutdown"}   ← {"id":N,"type":"ok","drained":D}
  *                                     (after draining, then exits)
  *   ← {"id":N,"type":"error","message":"..."}            (any failure)
+ *
+ * A frame longer than kMaxFrameBytes closes its connection; a frame
+ * nested deeper than kJsonMaxDepth gets an error reply.
  *
  * Every cell — of a `run` frame or of a submitted `scenario`, which
  * the stock Runner runs server-side — goes down one ExecBackend chain

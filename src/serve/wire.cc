@@ -210,6 +210,13 @@ LineConn::readLine(std::string &out)
             return true;
         }
         scanned_ = buf_.size();
+        if (scanned_ > kMaxFrameBytes) {
+            // Cut the peer off and free the partial frame now; the
+            // connection object may outlive this reader.
+            std::string().swap(buf_);
+            ::shutdown(fd_, SHUT_RDWR);
+            return false;
+        }
         char chunk[4096];
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n <= 0)
@@ -247,34 +254,6 @@ LineConn::shutdown()
 {
     if (fd_ >= 0)
         ::shutdown(fd_, SHUT_RDWR);
-}
-
-JsonValue
-jsonStr(const std::string &s)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::String;
-    v.str = s;
-    return v;
-}
-
-JsonValue
-jsonU64(std::uint64_t n)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Number;
-    v.num = double(n);
-    v.str = std::to_string(n);
-    return v;
-}
-
-JsonValue
-jsonBool(bool b)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Bool;
-    v.boolean = b;
-    return v;
 }
 
 JsonValue
@@ -340,29 +319,6 @@ JsonValue
 metricsJson(const Metrics &m)
 {
     return parseJson(metricsToJson(m));
-}
-
-JsonValue
-lengthsJson(const RunLengths &lengths)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    v.object["funcWarm"] = jsonU64(lengths.funcWarm);
-    v.object["pipeWarm"] = jsonU64(lengths.pipeWarm);
-    v.object["detail"] = jsonU64(lengths.detail);
-    return v;
-}
-
-JsonValue
-samplingJson(const SamplePlan &plan)
-{
-    JsonValue v;
-    v.kind = JsonValue::Kind::Object;
-    v.object["fastForward"] = jsonU64(plan.fastForward);
-    v.object["warmup"] = jsonU64(plan.warmup);
-    v.object["detail"] = jsonU64(plan.detail);
-    v.object["samples"] = jsonU64(std::uint64_t(plan.samples));
-    return v;
 }
 
 } // namespace ltp

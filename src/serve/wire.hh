@@ -17,11 +17,11 @@
  *                  frames, never bytes.
  *
  * Below the transport sits the one frame codec both ends share:
- * builders for the JSON values a frame carries, checked readers that
- * name the missing or mistyped field, and the writers for the
- * `lengths`/`sampling` objects (read back by scenario.hh's
- * parseLengths/parseSampling).  Which frames exist is documented in
- * server.hh and the "serve wire protocol" section of README.md.
+ * frame builders and checked readers that name the missing or
+ * mistyped field.  A frame's records (config, lengths, sampling plan)
+ * are written and read through their field tables (sim/fields.hh).
+ * Which frames exist is documented in server.hh and the "serve wire
+ * protocol" section of README.md.
  */
 
 #ifndef LTP_SERVE_WIRE_HH
@@ -32,14 +32,19 @@
 #include <string>
 
 #include "common/json.hh"
-#include "sample/sample_plan.hh"
 #include "sim/metrics.hh"
-#include "sim/simulator.hh"
 
 namespace ltp {
 
 /** Default `ltp serve` port (an unassigned registry hole). */
 inline constexpr int kDefaultServePort = 7461;
+
+/** Longest frame a LineConn accepts, in bytes (without the '\n').
+ *  The largest frame the shipped scenarios produce is the `sweep`
+ *  reply of fig10_tradeoffs, about 77 KB for 88 cells; a peer that
+ *  sends more than this bound without a newline is cut off instead
+ *  of growing the buffer without limit. */
+inline constexpr std::size_t kMaxFrameBytes = std::size_t(16) << 20;
 
 /** Connect to @p host:@p port.  @p timeoutMs > 0 bounds the connect
  *  itself (non-blocking connect + poll); 0 keeps the OS default.
@@ -89,8 +94,9 @@ class LineConn
     LineConn(const LineConn &) = delete;
     LineConn &operator=(const LineConn &) = delete;
 
-    /** Read one line (without the '\n').  @return false on EOF or
-     *  error — the connection is done either way. */
+    /** Read one line (without the '\n').  @return false on EOF,
+     *  error, or a line longer than kMaxFrameBytes — the connection
+     *  is done either way. */
     bool readLine(std::string &out);
 
     /** Write @p line + '\n' atomically w.r.t. other writers.
@@ -114,11 +120,6 @@ class LineConn
 /// @name Frame codec
 /// @{
 
-JsonValue jsonStr(const std::string &s);
-/** Exact integer (lexeme kept, so u64FromLexeme round-trips). */
-JsonValue jsonU64(std::uint64_t n);
-JsonValue jsonBool(bool b);
-
 /** `{"type":<type>}` — a request before call() stamps its id. */
 JsonValue objectFrame(const std::string &type);
 /** `{"id":<id>,"type":<type>}` — a reply. */
@@ -135,10 +136,6 @@ std::string frameStr(const JsonValue &obj, const std::string &key);
 const JsonValue &frameObject(const JsonValue &obj, const std::string &key);
 
 JsonValue metricsJson(const Metrics &m);
-/** `{"funcWarm":F,"pipeWarm":P,"detail":D}` */
-JsonValue lengthsJson(const RunLengths &lengths);
-/** `{"fastForward":F,"warmup":W,"detail":D,"samples":N}` */
-JsonValue samplingJson(const SamplePlan &plan);
 
 /// @}
 

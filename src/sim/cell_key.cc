@@ -10,12 +10,6 @@
 namespace ltp {
 
 std::string
-canonicalJson(const std::string &text)
-{
-    return writeJsonCompact(parseJson(text));
-}
-
-std::string
 workloadIdentity(const std::string &name)
 {
     if (isSmtName(name)) {
@@ -60,12 +54,9 @@ cellKeyFor(const SimConfig &cfg, const std::string &workload,
 
     Sha256 h;
     h.update(strprintf("ltp-cell-v%d\n", kCellKeyVersion));
-    h.update("config: " + canonicalJson(configToJson(cfg)) + "\n");
+    h.update("config: " + writeJsonCompact(configToValue(cfg)) + "\n");
     h.update("workload: " + key.workload + "\n");
-    h.update(strprintf("staging: %llu/%llu/%llu\n",
-                       static_cast<unsigned long long>(lengths.funcWarm),
-                       static_cast<unsigned long long>(lengths.pipeWarm),
-                       static_cast<unsigned long long>(lengths.detail)));
+    h.update("staging: " + lengths.toString() + "\n");
     h.update(strprintf("metricsSchema: %d\n", kMetricsSchemaVersion));
     // Appended only when enabled: full-detail keys are byte-identical
     // to the pre-sampling derivation, so existing caches stay valid.

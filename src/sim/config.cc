@@ -1,7 +1,6 @@
 #include "sim/config.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "sim/fields.hh"
@@ -171,7 +170,7 @@ SimConfig::withSeed(std::uint64_t s)
 
 // ---------------------------------------------------------------------------
 // Serialization: one field registry (sim/fields.hh) drives configToJson,
-// configFromJson, and applyOverride.
+// configToValue, configFromJson, and applyOverride.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -344,51 +343,21 @@ didYouMean(const std::string &path)
     return out;
 }
 
-/** Recursively apply a JSON object's keys through the registry. */
-void
-applyObject(const std::vector<Field> &fs, const JsonValue &v,
-            const std::string &reg_prefix, const std::string &err_prefix)
-{
-    for (const auto &[key, val] : v.object) {
-        std::string reg_path =
-            reg_prefix.empty() ? key : reg_prefix + "." + key;
-        std::string err_path =
-            err_prefix.empty() ? reg_path : err_prefix + "." + reg_path;
-
-        const Field *exact = nullptr;
-        bool is_group = false;
-        std::string nested = reg_path + ".";
-        for (const Field &f : fs) {
-            if (reg_path == f.path) {
-                exact = &f;
-                break;
-            }
-            if (std::strncmp(f.path, nested.c_str(), nested.size()) == 0)
-                is_group = true;
-        }
-        if (exact) {
-            setConfigField(*exact, val, err_path);
-        } else if (is_group) {
-            if (!val.isObject())
-                badConfig("expected an object at " + err_path + ", got " +
-                          JsonValue::kindName(val.kind));
-            applyObject(fs, val, reg_path, err_prefix);
-        } else {
-            badConfig("unknown config key '" + err_path + "'");
-        }
-    }
-}
-
 } // namespace
 
 std::string
 configToJson(const SimConfig &cfg, int indent)
 {
     // The registry needs mutable pointers; emission never writes.
-    std::vector<Field> fs = fieldsOf(const_cast<SimConfig &>(cfg));
     JsonObjectBuilder o;
-    writeFields(o, fs.data(), fs.size(), indent);
+    writeFields(o, fieldsOf(const_cast<SimConfig &>(cfg)), indent);
     return o.render(indent);
+}
+
+JsonValue
+configToValue(const SimConfig &cfg)
+{
+    return fieldsToValue(fieldsOf(const_cast<SimConfig &>(cfg)));
 }
 
 SimConfig
@@ -404,12 +373,11 @@ void
 applyConfigJson(SimConfig &cfg, const JsonValue &v,
                 const std::string &where)
 {
-    if (!v.isObject())
-        badConfig("expected an object at " +
-                  (where.empty() ? std::string("<top level>") : where) +
-                  ", got " + JsonValue::kindName(v.kind));
-    std::vector<Field> fs = fieldsOf(cfg);
-    applyObject(fs, v, "", where);
+    try {
+        applyFields(fieldsOf(cfg), v, where);
+    } catch (const std::runtime_error &e) {
+        badConfig(e.what());
+    }
 }
 
 void

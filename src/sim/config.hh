@@ -73,6 +73,10 @@ struct SimConfig
 /** Serialize @p cfg as a nested JSON object (round-trip exact). */
 std::string configToJson(const SimConfig &cfg, int indent = 0);
 
+/** @p cfg as a value tree (wire frames, cell keys): the same lexemes
+ *  as configToJson, with sorted keys. */
+JsonValue configToValue(const SimConfig &cfg);
+
 /**
  * Build a SimConfig from JSON: defaults, then every present key
  * applied.  Partial objects are fine; unknown keys or wrong value

@@ -126,25 +126,83 @@ parseInt(const Field &f, const std::string &s, const char *where)
     return static_cast<int>(v);
 }
 
-/** JSON fragment for one scalar field. */
-std::string
-fieldFragment(const Field &f)
+/** One scalar field as a value: a Number keeps the lexeme the text
+ *  writer prints, so both writers spell every field alike. */
+JsonValue
+fieldValue(const Field &f)
 {
+    JsonValue v;
+    auto number = [&v](std::string lexeme, double num) {
+        v.kind = JsonValue::Kind::Number;
+        v.str = std::move(lexeme);
+        v.num = num;
+    };
     switch (f.kind) {
       case FieldKind::Int: {
-        int v = fieldRef<int>(f);
-        return v == kInfiniteSize ? "\"inf\"" : std::to_string(v);
+        int i = fieldRef<int>(f);
+        if (i != kInfiniteSize)
+            number(std::to_string(i), i);
+        else
+            v = jsonStr("inf");
+        break;
       }
-      case FieldKind::U64:
-        return std::to_string(fieldRef<std::uint64_t>(f));
+      case FieldKind::U64: {
+        std::uint64_t u = fieldRef<std::uint64_t>(f);
+        number(std::to_string(u), double(u));
+        break;
+      }
       case FieldKind::Double:
-        return jsonNum(fieldRef<double>(f));
+        number(jsonNum(fieldRef<double>(f)), fieldRef<double>(f));
+        break;
       case FieldKind::Bool:
-        return fieldRef<bool>(f) ? "true" : "false";
+        v.kind = JsonValue::Kind::Bool;
+        v.boolean = fieldRef<bool>(f);
+        break;
       case FieldKind::String:
-        return jsonQuote(fieldRef<std::string>(f));
+        v = jsonStr(fieldRef<std::string>(f));
+        break;
       default:
-        return jsonQuote(enumName(f));
+        v = jsonStr(enumName(f));
+        break;
+    }
+    return v;
+}
+
+/** Apply object @p v's keys under registry prefix @p reg_prefix,
+ *  naming errors by @p err_prefix + the registry path. */
+void
+applyObject(const Field *fs, std::size_t n, const JsonValue &v,
+            const std::string &reg_prefix, const std::string &err_prefix)
+{
+    if (!v.isObject()) {
+        std::string at = err_prefix.empty() ? reg_prefix
+                         : reg_prefix.empty() ? err_prefix
+                                              : err_prefix + "." + reg_prefix;
+        bad("expected an object at " + (at.empty() ? "<top level>" : at) +
+            ", got " + JsonValue::kindName(v.kind));
+    }
+    for (const auto &[key, val] : v.object) {
+        std::string reg_path =
+            reg_prefix.empty() ? key : reg_prefix + "." + key;
+        std::string err_path =
+            err_prefix.empty() ? reg_path : err_prefix + "." + reg_path;
+
+        const Field *exact = nullptr;
+        bool is_group = false;
+        std::string nested = reg_path + ".";
+        for (std::size_t i = 0; i < n && !exact; ++i) {
+            if (reg_path == fs[i].path)
+                exact = &fs[i];
+            else if (std::strncmp(fs[i].path, nested.c_str(),
+                                  nested.size()) == 0)
+                is_group = true;
+        }
+        if (exact)
+            setField(*exact, val, err_path.c_str());
+        else if (is_group)
+            applyObject(fs, n, val, reg_path, err_prefix);
+        else
+            bad("unknown key '" + err_path + "'");
     }
 }
 
@@ -158,7 +216,7 @@ nestFields(JsonObjectBuilder &o, const Field *fs, std::size_t lo,
         const char *rest = fs[i].path + prefix_len;
         const char *dot = std::strchr(rest, '.');
         if (!dot) {
-            o.field(rest, fieldFragment(fs[i]));
+            o.field(rest, writeJsonCompact(fieldValue(fs[i])));
             i += 1;
             continue;
         }
@@ -186,6 +244,42 @@ writeFields(JsonObjectBuilder &o, const Field *fs, std::size_t n,
     nestFields(o, fs, 0, n, 0, indent);
 }
 
+JsonValue
+fieldsToValue(const Field *fs, std::size_t n)
+{
+    JsonValue root;
+    root.kind = JsonValue::Kind::Object;
+    for (std::size_t i = 0; i < n; ++i) {
+        JsonValue *at = &root;
+        const char *seg = fs[i].path;
+        for (const char *dot; (dot = std::strchr(seg, '.'));
+             seg = dot + 1) {
+            at = &at->object[std::string(seg, dot)];
+            at->kind = JsonValue::Kind::Object;
+        }
+        at->object[seg] = fieldValue(fs[i]);
+    }
+    return root;
+}
+
+void
+applyFields(const Field *fs, std::size_t n, const JsonValue &v,
+            const std::string &where)
+{
+    applyObject(fs, n, v, "", where);
+}
+
+void
+readFields(const Field *fs, std::size_t n, const JsonValue &obj,
+           const char *where)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (const JsonValue *v = jsonAtPath(obj, fs[i].path))
+            setField(fs[i], *v,
+                     *where ? (std::string(where) + "." + fs[i].path).c_str()
+                            : fs[i].path);
+}
+
 void
 setField(const Field &f, const std::string &text, const char *where)
 {
@@ -196,6 +290,9 @@ setField(const Field &f, const std::string &text, const char *where)
       case FieldKind::U64:
         if (!u64FromLexeme(text, &fieldRef<std::uint64_t>(f)))
             bad("bad unsigned integer '" + text + "' at " + where);
+        if (f.min > 0 && fieldRef<std::uint64_t>(f) < std::uint64_t(f.min))
+            bad(std::string(where) + " must be at least " +
+                std::to_string(f.min) + ", got " + text);
         return;
       case FieldKind::Double: {
         char *end = nullptr;

@@ -2,27 +2,11 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/logging.hh"
 
 namespace ltp {
-
-std::string
-Metrics::toString() const
-{
-    std::ostringstream os;
-    os << config << "/" << workload
-       << strprintf(": ipc=%.3f cpi=%.3f", ipc, cpi)
-       << strprintf(" mlp=%.2f", avgOutstanding)
-       << strprintf(" iq=%.1f rf=%.1f lq=%.1f sq=%.1f", iqOcc, rfOcc,
-                    lqOcc, sqOcc);
-    if (ltpOcc > 0.0 || parked > 0)
-        os << strprintf(" ltp=%.1f parked=%.0f%%", ltpOcc,
-                        100.0 * parkedFrac);
-    return os.str();
-}
 
 MetricFields
 metricFields(Metrics &m)
@@ -72,6 +56,29 @@ metricFields(Metrics &m)
     // Sized by its rows: a row count that disagrees with MetricFields
     // does not compile.
     return table;
+}
+
+ThreadFields
+threadFields(ThreadMetrics &t)
+{
+    return {Field{"workload", FieldKind::String, &t.workload},
+            Field{"insts", FieldKind::U64, &t.insts},
+            Field{"cycles", FieldKind::U64, &t.cycles},
+            Field{"ipc", FieldKind::Double, &t.ipc}};
+}
+
+SamplingFields
+samplingFields(SamplingStats &s)
+{
+    SamplePlanFields plan = samplePlanFields(s);
+    auto D = [](const char *n, double &v) {
+        return Field{n, FieldKind::Double, &v};
+    };
+    return {plan[0], plan[1], plan[2], plan[3],
+            D("meanIpc", s.meanIpc),
+            D("ipcStdDev", s.ipcStdDev),
+            D("ci95Half", s.ci95Half),
+            D("ffKips", s.ffKips)};
 }
 
 Metrics

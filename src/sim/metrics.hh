@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "energy/energy_model.hh"
+#include "sample/sample_plan.hh"
 #include "sim/fields.hh"
 
 namespace ltp {
@@ -56,19 +57,13 @@ struct ThreadMetrics
  * half-width.  `samples == 0` means the run was full-detail and the
  * block is absent from serialized Metrics (full-run JSON unchanged).
  */
-struct SamplingStats
+struct SamplingStats : SamplePlan
 {
-    int samples = 0;                ///< 0 = not a sampled run
-    std::uint64_t fastForward = 0;  ///< plan: functional ops / period
-    std::uint64_t warmup = 0;       ///< plan: discarded detail ops
-    std::uint64_t detail = 0;       ///< plan: measured ops / sample
     double meanIpc = 0.0;           ///< mean of per-sample IPCs
     double ipcStdDev = 0.0;         ///< sample std-dev (n-1); NaN n<2
     double ci95Half = 0.0;          ///< t(n-1) * s / sqrt(n); NaN n<2
     double ffKips = 0.0;            ///< fast-forward rate, kinsts/sec
     std::vector<double> sampleIpcs; ///< per-sample IPCs, period order
-
-    bool enabled() const { return samples > 0; }
 
     /**
      * True when the run carries a real confidence interval.  One
@@ -165,8 +160,6 @@ struct Metrics
     {
         return base.ed2p != 0.0 ? (ed2p / base.ed2p - 1.0) * 100.0 : 0.0;
     }
-
-    std::string toString() const;
 };
 
 /**
@@ -176,8 +169,9 @@ struct Metrics
  * `ed2p`, `edp`.  This table is the one list of them: the JSON codec
  * (metricsToJson/metricsFromJson), the CSV columns, scenario claim
  * metrics, and averageMetrics all loop over it, so a new scalar is a
- * member plus one row here.  The `smt` and `sampling` blocks carry
- * arrays and stay hand-written.
+ * member plus one row here.  The `smt` and `sampling` blocks have
+ * tables of their own (threadFields, samplingFields); only their
+ * arrays are written by hand.
  */
 using MetricFields = std::array<Field, 31>;
 
@@ -189,6 +183,32 @@ inline MetricFields
 metricFields(const Metrics &m)
 {
     return metricFields(const_cast<Metrics &>(m));
+}
+
+/** One `smt.threads[]` entry: `workload`, `insts`, `cycles`, `ipc`. */
+using ThreadFields = std::array<Field, 4>;
+
+ThreadFields threadFields(ThreadMetrics &t);
+
+inline ThreadFields
+threadFields(const ThreadMetrics &t)
+{
+    return threadFields(const_cast<ThreadMetrics &>(t));
+}
+
+/**
+ * The scalars of the `sampling` block, in emission order: the plan's
+ * rows (samplePlanFields), then `meanIpc`, `ipcStdDev`, `ci95Half`,
+ * `ffKips`.  The per-sample `sampleIpcs` array is written by hand.
+ */
+using SamplingFields = std::array<Field, 8>;
+
+SamplingFields samplingFields(SamplingStats &s);
+
+inline SamplingFields
+samplingFields(const SamplingStats &s)
+{
+    return samplingFields(const_cast<SamplingStats &>(s));
 }
 
 /**

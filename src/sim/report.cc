@@ -1,5 +1,6 @@
 #include "sim/report.hh"
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,8 +23,7 @@ metricsObject(const Metrics &m, int indent)
 {
     JsonObjectBuilder o;
     o.u64("schemaVersion", kMetricsSchemaVersion);
-    MetricFields fs = metricFields(m);
-    writeFields(o, fs.data(), fs.size(), indent);
+    writeFields(o, metricFields(m), indent);
 
     // SMT breakdown: emitted only for genuinely multi-context runs so
     // single-threaded Metrics JSON (and the committed golden
@@ -31,12 +31,8 @@ metricsObject(const Metrics &m, int indent)
     if (m.threads.size() > 1) {
         std::string arr = "[\n";
         for (std::size_t i = 0; i < m.threads.size(); ++i) {
-            const ThreadMetrics &tm = m.threads[i];
             JsonObjectBuilder to;
-            to.str("workload", tm.workload);
-            to.u64("insts", tm.insts);
-            to.u64("cycles", tm.cycles);
-            to.num("ipc", tm.ipc);
+            writeFields(to, threadFields(m.threads[i]), indent + 4);
             arr += std::string(indent + 4, ' ') + to.render(indent + 4);
             if (i + 1 < m.threads.size())
                 arr += ",";
@@ -53,19 +49,14 @@ metricsObject(const Metrics &m, int indent)
     // pre-sampling format.
     if (m.sampling.enabled()) {
         const SamplingStats &s = m.sampling;
-        JsonObjectBuilder so;
-        so.u64("samples", std::uint64_t(s.samples));
-        so.u64("fastForward", s.fastForward);
-        so.u64("warmup", s.warmup);
-        so.u64("detail", s.detail);
-        so.num("meanIpc", s.meanIpc);
         // A CI-less run (--samples=1) omits the dispersion keys
         // entirely: "unavailable" must not round-trip as a number.
-        if (s.hasCi()) {
-            so.num("ipcStdDev", s.ipcStdDev);
-            so.num("ci95Half", s.ci95Half);
-        }
-        so.num("ffKips", s.ffKips);
+        std::vector<Field> rows;
+        for (const Field &f : samplingFields(s))
+            if (s.hasCi() || (f.p != &s.ipcStdDev && f.p != &s.ci95Half))
+                rows.push_back(f);
+        JsonObjectBuilder so;
+        writeFields(so, rows, indent + 2);
         std::string ipcs = "[";
         for (std::size_t i = 0; i < s.sampleIpcs.size(); ++i) {
             if (i)
@@ -77,37 +68,6 @@ metricsObject(const Metrics &m, int indent)
         o.field("sampling", so.render(indent + 2));
     }
     return o;
-}
-
-// Parsing uses the shared reader (common/json.hh); missing keys keep
-// their zero defaults so old archives stay readable.
-
-double
-numAt(const JsonValue &obj, const std::string &key)
-{
-    auto it = obj.object.find(key);
-    return it != obj.object.end() ? it->second.num : 0.0;
-}
-
-std::uint64_t
-u64At(const JsonValue &obj, const std::string &key)
-{
-    auto it = obj.object.find(key);
-    if (it == obj.object.end())
-        return 0;
-    // Prefer the source lexeme: exact for integers above 2^53.
-    const JsonValue &v = it->second;
-    std::uint64_t exact = 0;
-    if (v.isNumber() && u64FromLexeme(v.str, &exact))
-        return exact;
-    return static_cast<std::uint64_t>(v.num);
-}
-
-std::string
-strAt(const JsonValue &obj, const std::string &key)
-{
-    auto it = obj.object.find(key);
-    return it != obj.object.end() ? it->second.str : std::string();
 }
 
 } // namespace
@@ -133,9 +93,9 @@ metricsFromJson(const JsonValue &root)
     // Tolerant versioning: a missing field is the unversioned v1
     // format; anything newer than this reader must be rejected rather
     // than half-read with silently-defaulted fields.
-    std::uint64_t version =
-        root.object.count("schemaVersion") ? u64At(root, "schemaVersion")
-                                           : 1;
+    std::uint64_t version = 1;
+    readFields(std::array{Field{"schemaVersion", FieldKind::U64, &version}},
+               root);
     if (version < 1 || version > std::uint64_t(kMetricsSchemaVersion))
         throw std::runtime_error(strprintf(
             "metricsFromJson: unsupported schemaVersion %llu (this "
@@ -146,28 +106,15 @@ metricsFromJson(const JsonValue &root)
     // Absent fields keep their zero defaults; present ones must have
     // the kind the table says.
     Metrics m;
-    for (const Field &f : metricFields(m))
-        if (const JsonValue *v = jsonAtPath(root, f.path))
-            setField(f, *v, f.path);
+    readFields(metricFields(m), root);
 
     auto sampling = root.object.find("sampling");
     if (sampling != root.object.end() && sampling->second.isObject()) {
         SamplingStats &s = m.sampling;
-        s.samples = int(u64At(sampling->second, "samples"));
-        s.fastForward = u64At(sampling->second, "fastForward");
-        s.warmup = u64At(sampling->second, "warmup");
-        s.detail = u64At(sampling->second, "detail");
-        s.meanIpc = numAt(sampling->second, "meanIpc");
         // Absent dispersion keys mean "CI unavailable" (a n=1 run),
         // which reads back as NaN — not as a zero-width interval.
-        double nan = std::numeric_limits<double>::quiet_NaN();
-        s.ipcStdDev = sampling->second.object.count("ipcStdDev")
-                          ? numAt(sampling->second, "ipcStdDev")
-                          : nan;
-        s.ci95Half = sampling->second.object.count("ci95Half")
-                         ? numAt(sampling->second, "ci95Half")
-                         : nan;
-        s.ffKips = numAt(sampling->second, "ffKips");
+        s.ipcStdDev = s.ci95Half = std::numeric_limits<double>::quiet_NaN();
+        readFields(samplingFields(s), sampling->second, "sampling");
         auto ipcs = sampling->second.object.find("sampleIpcs");
         if (ipcs != sampling->second.object.end() &&
             ipcs->second.isArray()) {
@@ -183,10 +130,7 @@ metricsFromJson(const JsonValue &root)
             threads->second.isArray()) {
             for (const JsonValue &tv : threads->second.array) {
                 ThreadMetrics tm;
-                tm.workload = strAt(tv, "workload");
-                tm.insts = u64At(tv, "insts");
-                tm.cycles = u64At(tv, "cycles");
-                tm.ipc = numAt(tv, "ipc");
+                readFields(threadFields(tm), tv, "smt.threads");
                 m.threads.push_back(tm);
             }
         }

@@ -53,16 +53,8 @@ parseEntry(const std::string &key, const std::string &text,
     info.key = key;
     info.config = jsonField(root, "config", Kind::String).str;
     info.workload = jsonField(root, "workload", Kind::String).str;
-    const JsonValue &lengths = jsonField(root, "lengths", Kind::Object);
-    auto u64of = [&](const char *name) {
-        auto it = lengths.object.find(name);
-        return it == lengths.object.end()
-                   ? std::uint64_t(0)
-                   : std::uint64_t(it->second.num);
-    };
-    info.funcWarm = u64of("funcWarm");
-    info.pipeWarm = u64of("pipeWarm");
-    info.detail = u64of("detail");
+    applyFields(lengthFields(info.lengths),
+                jsonField(root, "lengths", Kind::Object), "lengths");
 
     // metricsFromJson re-checks the embedded schemaVersion and throws
     // on anything newer than this reader.
@@ -142,12 +134,9 @@ ResultCache::store(const CellKey &key, const SimConfig &cfg,
     o.str("key", key.hex);
     o.str("config", cfg.name);
     o.str("workload", key.workload);
-    o.field("lengths",
-            strprintf("{\"funcWarm\": %llu, \"pipeWarm\": %llu, "
-                      "\"detail\": %llu}",
-                      static_cast<unsigned long long>(lengths.funcWarm),
-                      static_cast<unsigned long long>(lengths.pipeWarm),
-                      static_cast<unsigned long long>(lengths.detail)));
+    JsonObjectBuilder lo;
+    writeFields(lo, lengthFields(lengths), 2);
+    o.field("lengths", lo.render(2));
     o.field("metrics", metricsToJson(m, 2));
 
     std::string tmp = path + strprintf(".tmp.%d.%llu", getpid(),

@@ -40,9 +40,7 @@ struct CacheEntryInfo
     std::string key;      ///< 64-hex cell key (file stem)
     std::string config;   ///< SimConfig::name at store time
     std::string workload; ///< content identity (cell_key.hh)
-    std::uint64_t funcWarm = 0;
-    std::uint64_t pipeWarm = 0;
-    std::uint64_t detail = 0;
+    RunLengths lengths;   ///< staging the entry was computed at
     std::uint64_t bytes = 0;
     bool valid = false;   ///< parses + schema versions accepted
 };

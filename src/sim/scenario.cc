@@ -100,20 +100,6 @@ strAt(const JsonValue &obj, const char *key, const std::string &where)
     return v->str;
 }
 
-/** Checked non-negative integer from a JSON number (via its lexeme,
- *  so fractions and signs are rejected rather than truncated). */
-std::uint64_t
-u64FromJson(const JsonValue &v, const std::string &path)
-{
-    if (!v.isNumber())
-        wrongKind(v, "a number", path);
-    std::uint64_t out = 0;
-    if (!u64FromLexeme(v.str, &out))
-        bad("expected a non-negative integer at " + path + ", got '" +
-            v.str + "'");
-    return out;
-}
-
 /** A sweep value / axis label: a number lexeme or a plain string. */
 std::string
 scalarLexeme(const JsonValue &v, const std::string &path)
@@ -196,9 +182,10 @@ checkKernels(std::vector<std::string> &names, const std::string &where,
 RunLengths
 parseLengths(const JsonValue &v, const std::string &where)
 {
+    RunLengths out;
     if (v.isString()) {
         if (v.str == "default")
-            return RunLengths{};
+            return out;
         if (v.str == "quick")
             return RunLengths::quick();
         if (v.str == "bench")
@@ -206,45 +193,19 @@ parseLengths(const JsonValue &v, const std::string &where)
         bad("unknown lengths preset '" + v.str + "' at " + where +
             " (expected default|quick|bench or an object)");
     }
-    if (!v.isObject())
-        wrongKind(v, "an object or preset name", where);
-    checkKeys(v, {"funcWarm", "pipeWarm", "detail"}, where);
-    RunLengths out;
-    auto u64At = [&](const char *key, std::uint64_t dflt) {
-        const JsonValue *f = find(v, key);
-        return f ? u64FromJson(*f, where + "." + key) : dflt;
-    };
-    out.funcWarm = u64At("funcWarm", out.funcWarm);
-    out.pipeWarm = u64At("pipeWarm", out.pipeWarm);
-    out.detail = u64At("detail", out.detail);
+    applyFields(lengthFields(out), v, where);
     return out;
 }
 
 SamplePlan
 parseSampling(const JsonValue &v, const std::string &where)
 {
-    if (v.isString()) {
-        if (v.str == "default")
-            return SamplePlan::defaults();
+    SamplePlan out = SamplePlan::defaults();
+    if (!v.isString())
+        applyFields(samplePlanFields(out), v, where);
+    else if (v.str != "default")
         bad("unknown sampling preset '" + v.str + "' at " + where +
             " (expected \"default\" or an object)");
-    }
-    if (!v.isObject())
-        wrongKind(v, "an object or preset name", where);
-    checkKeys(v, {"fastForward", "warmup", "detail", "samples"}, where);
-    SamplePlan out = SamplePlan::defaults();
-    auto u64At = [&](const char *key, std::uint64_t dflt) {
-        const JsonValue *f = find(v, key);
-        return f ? u64FromJson(*f, where + "." + key) : dflt;
-    };
-    out.fastForward = u64At("fastForward", out.fastForward);
-    out.warmup = u64At("warmup", out.warmup);
-    out.detail = u64At("detail", out.detail);
-    out.samples = int(u64At("samples", std::uint64_t(out.samples)));
-    if (out.samples <= 0)
-        bad(where + ".samples must be positive");
-    if (out.detail == 0)
-        bad(where + ".detail must be positive");
     return out;
 }
 
@@ -425,42 +386,6 @@ parseSweep(const JsonValue &v)
         sw.values.push_back(scalarLexeme(
             vals->array[i], "sweep.values[" + std::to_string(i) + "]"));
     return sw;
-}
-
-SweepJob
-parseJob(const JsonValue &v, std::size_t index,
-         const std::string &baseDir)
-{
-    std::string where = "jobs[" + std::to_string(index) + "]";
-    if (!v.isObject())
-        wrongKind(v, "an object", where);
-    checkKeys(v, {"row", "series", "label", "kernels", "config"}, where);
-
-    SweepJob job;
-    job.row = strAt(v, "row", where);
-    job.series = strAt(v, "series", where);
-    const JsonValue *ks = find(v, "kernels");
-    if (!ks)
-        bad("missing required key '" + where + ".kernels'");
-    job.kernels = stringList(*ks, where + ".kernels");
-    if (job.kernels.empty())
-        bad(where + ".kernels must not be empty");
-    checkKernels(job.kernels, where + ".kernels", baseDir);
-    if (const JsonValue *l = find(v, "label")) {
-        if (!l->isString())
-            wrongKind(*l, "a string", where + ".label");
-        job.label = l->str;
-    } else if (job.kernels.size() == 1) {
-        job.label = job.kernels[0];
-    } else {
-        bad("missing required key '" + where +
-            ".label' (required for multi-kernel jobs)");
-    }
-    const JsonValue *cfg = find(v, "config");
-    if (!cfg)
-        bad("missing required key '" + where + ".config'");
-    applyConfigJson(job.cfg, *cfg, where + ".config");
-    return job;
 }
 
 /** metric(m) by Metrics table path; false if no such number. */
@@ -683,11 +608,6 @@ std::vector<GridCell>
 Scenario::cells() const
 {
     std::vector<GridCell> out;
-    if (explicitJobs) {
-        for (const SweepJob &job : jobs)
-            out.push_back({job.row, job.series});
-        return out;
-    }
     for (const std::string &label : workloadLabels())
         forEachCell(*this, label,
                     [&](const std::string &row, const ScenarioConfig &c,
@@ -704,16 +624,6 @@ Scenario::compile(int threads, ExecBackendPtr backend) const
     spec.name = name;
     spec.lengths = lengths;
     spec.sampling = sampling;
-
-    if (explicitJobs) {
-        spec.jobs = jobs;
-        // Exported jobs carry their own seeds; an explicit scenario or
-        // driver seed overrides them all.
-        if (hasSeed)
-            for (SweepJob &job : spec.jobs)
-                job.cfg.seed = seed;
-        return spec;
-    }
 
     std::vector<std::string> labels = workloadLabels();
     Panels classified;
@@ -751,12 +661,17 @@ Scenario::compile(int threads, ExecBackendPtr backend) const
 Scenario
 scenarioFromJson(const std::string &text, const std::string &baseDir)
 {
-    JsonValue root = parseJson(text);
+    return scenarioFromJson(parseJson(text), baseDir);
+}
+
+Scenario
+scenarioFromJson(const JsonValue &root, const std::string &baseDir)
+{
     if (!root.isObject())
         wrongKind(root, "an object", "<top level>");
     checkKeys(root,
               {"name", "lengths", "sampling", "seed", "workloads",
-               "configs", "sweep", "jobs", "claims"},
+               "configs", "sweep", "claims"},
               "");
 
     Scenario sc;
@@ -765,31 +680,12 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
         sc.lengths = parseLengths(*l, "lengths");
     if (const JsonValue *sp = find(root, "sampling"))
         sc.sampling = parseSampling(*sp, "sampling");
-    if (const JsonValue *s = find(root, "seed")) {
-        sc.seed = u64FromJson(*s, "seed");
-        sc.hasSeed = true;
-    }
-    const JsonValue *claims = find(root, "claims");
-
-    if (const JsonValue *jobs = find(root, "jobs")) {
-        for (const char *key : {"workloads", "configs", "sweep"})
-            if (find(root, key))
-                bad(std::string("'jobs' and '") + key +
-                    "' are mutually exclusive");
-        if (!jobs->isArray() || jobs->array.empty())
-            bad("jobs must be a non-empty array");
-        sc.explicitJobs = true;
-        for (std::size_t i = 0; i < jobs->array.size(); ++i)
-            sc.jobs.push_back(parseJob(jobs->array[i], i, baseDir));
-        if (claims)
-            parseClaims(sc, *claims);
-        return sc;
-    }
+    if (const JsonValue *s = find(root, "seed"))
+        setField(Field{"seed", FieldKind::U64, &sc.seed}, *s, "seed");
 
     const JsonValue *w = find(root, "workloads");
     if (!w)
-        bad("missing required key 'workloads' (or an explicit 'jobs' "
-            "array)");
+        bad("missing required key 'workloads'");
     parseWorkloads(sc, *w, baseDir);
 
     const JsonValue *configs = find(root, "configs");
@@ -839,7 +735,7 @@ scenarioFromJson(const std::string &text, const std::string &baseDir)
                     }
                 }
     }
-    if (claims)
+    if (const JsonValue *claims = find(root, "claims"))
         parseClaims(sc, *claims);
     return sc;
 }
@@ -861,48 +757,6 @@ loadScenarioFile(const std::string &path)
     } catch (const std::runtime_error &e) {
         throw std::runtime_error(path + ": " + e.what());
     }
-}
-
-std::string
-sweepSpecToJson(const SweepSpec &spec)
-{
-    std::string out = "{\n";
-    out += "  \"name\": " + jsonQuote(spec.name) + ",\n";
-    out += "  \"lengths\": {\"funcWarm\": " +
-           std::to_string(spec.lengths.funcWarm) +
-           ", \"pipeWarm\": " + std::to_string(spec.lengths.pipeWarm) +
-           ", \"detail\": " + std::to_string(spec.lengths.detail) +
-           "},\n";
-    if (spec.sampling.enabled()) {
-        out += "  \"sampling\": {\"fastForward\": " +
-               std::to_string(spec.sampling.fastForward) +
-               ", \"warmup\": " + std::to_string(spec.sampling.warmup) +
-               ", \"detail\": " + std::to_string(spec.sampling.detail) +
-               ", \"samples\": " + std::to_string(spec.sampling.samples) +
-               "},\n";
-    }
-    out += "  \"jobs\": [\n";
-    for (std::size_t i = 0; i < spec.jobs.size(); ++i) {
-        const SweepJob &job = spec.jobs[i];
-        out += "    {\n";
-        out += "      \"row\": " + jsonQuote(job.row) + ",\n";
-        out += "      \"series\": " + jsonQuote(job.series) + ",\n";
-        out += "      \"label\": " + jsonQuote(job.label) + ",\n";
-        out += "      \"kernels\": [";
-        for (std::size_t k = 0; k < job.kernels.size(); ++k) {
-            if (k)
-                out += ", ";
-            out += jsonQuote(job.kernels[k]);
-        }
-        out += "],\n";
-        out += "      \"config\": " + configToJson(job.cfg, 6) + "\n";
-        out += "    }";
-        if (i + 1 < spec.jobs.size())
-            out += ",";
-        out += "\n";
-    }
-    out += "  ]\n}\n";
-    return out;
 }
 
 } // namespace ltp

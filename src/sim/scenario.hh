@@ -6,22 +6,16 @@
  * compiled into the Runner's SweepSpec.  Every paper figure, table
  * and ablation ships as a file under scenarios/.
  *
- * Two forms:
+ * A scenario crosses `workloads` (kernels | panels | groups | traces
+ * | pairs) with `configs` (preset + mode + dotted `set` overrides),
+ * optionally swept along one or more config paths set to the same
+ * value per row (`sweep`).  A config with a `row` is pinned to the
+ * unswept `<workload>|<row>` row instead (the reference points a
+ * figure normalises against).  `traces` rows replay recorded `.lttr`
+ * files (paths relative to the scenario file); `trace:<path>` names
+ * are also accepted anywhere a kernel name is.
  *
- *  - **Declarative** — `workloads` (kernels | panels | groups | traces
- *    | pairs) crossed with `configs` (preset + mode + dotted `set`
- *    overrides), optionally swept along one or more config paths set
- *    to the same value per row (`sweep`).  A config with a `row` is
- *    pinned to the unswept `<workload>|<row>` row instead (the
- *    reference points a figure normalises against).  `traces` rows
- *    replay recorded `.lttr` files (paths relative to the scenario
- *    file); `trace:<path>` names are also accepted anywhere a kernel
- *    name is.
- *  - **Explicit** — a `jobs` array of (row, series, kernels, full
- *    config); what `sweepSpecToJson` exports, so any in-C++ SweepSpec
- *    round-trips through a file.
- *
- * Either form may carry `claims`: bounds on one grid cell's metric, or
+ * A scenario may carry `claims`: bounds on one grid cell's metric, or
  * on its ratio to another cell's, that `ltp sweep` reports and the
  * claims test asserts at the file's own staging.
  *
@@ -143,10 +137,6 @@ struct Scenario
      *  (disabled by default = full detail). */
     SamplePlan sampling;
     std::uint64_t seed = 1;
-    /** True when the file (or a driver flag) set the seed explicitly —
-     *  only then does it override the per-job seeds of an
-     *  explicit-jobs scenario. */
-    bool hasSeed = false;
 
     enum class WorkloadKind { None, Kernels, Panels, Groups, Traces,
                               Pairs };
@@ -163,9 +153,6 @@ struct Scenario
     std::vector<ScenarioConfig> configs;
     bool hasSweep = false;
     ScenarioSweep sweep;
-
-    bool explicitJobs = false;
-    std::vector<SweepJob> jobs;
 
     std::vector<ScenarioClaim> claims; ///< checked by `ltp sweep`
 
@@ -193,15 +180,17 @@ struct Scenario
 
 /**
  * The `lengths` value of a scenario file or `run` frame: a preset name
- * (default | quick | bench) or an object whose absent fields keep the
- * defaults.  @p where prefixes error paths ("lengths.detail").
+ * (default | quick | bench) or an object read through lengthFields,
+ * whose absent fields keep the defaults.  @p where prefixes error
+ * paths ("lengths.detail").
  * @throws std::runtime_error naming the offending path.
  */
 RunLengths parseLengths(const JsonValue &v, const std::string &where);
 
 /**
- * The `sampling` value: "default" or an object whose absent fields
- * keep SamplePlan::defaults(); samples and detail must be positive.
+ * The `sampling` value: "default" or an object read through
+ * samplePlanFields, whose absent fields keep SamplePlan::defaults()
+ * (samples and detail must be positive: the rows' minimums).
  * @throws std::runtime_error naming the offending path.
  */
 SamplePlan parseSampling(const JsonValue &v, const std::string &where);
@@ -217,12 +206,12 @@ SamplePlan parseSampling(const JsonValue &v, const std::string &where);
 Scenario scenarioFromJson(const std::string &text,
                           const std::string &baseDir = "");
 
+/** scenarioFromJson of an already-parsed object (a serve frame's). */
+Scenario scenarioFromJson(const JsonValue &root,
+                          const std::string &baseDir = "");
+
 /** Read and parse @p path; errors are prefixed with the file name. */
 Scenario loadScenarioFile(const std::string &path);
-
-/** Export a SweepSpec as an explicit-jobs scenario file (round-trips
- *  through scenarioFromJson + compile). */
-std::string sweepSpecToJson(const SweepSpec &spec);
 
 } // namespace ltp
 

@@ -2,11 +2,28 @@
 
 #include <stdexcept>
 
+#include "common/logging.hh"
 #include "ltp/oracle.hh"
 #include "trace/suite.hh"
 #include "trace/trace_file.hh"
 
 namespace ltp {
+
+std::string
+RunLengths::toString() const
+{
+    return strprintf("%llu/%llu/%llu", (unsigned long long)funcWarm,
+                     (unsigned long long)pipeWarm,
+                     (unsigned long long)detail);
+}
+
+LengthFields
+lengthFields(RunLengths &l)
+{
+    return {Field{"funcWarm", FieldKind::U64, &l.funcWarm},
+            Field{"pipeWarm", FieldKind::U64, &l.pipeWarm},
+            Field{"detail", FieldKind::U64, &l.detail}};
+}
 
 // ---------------------------------------------------------------------------
 // SMT workload-tuple names

@@ -25,9 +25,11 @@
 #ifndef LTP_SIM_SIMULATOR_HH
 #define LTP_SIM_SIMULATOR_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/ring.hh"
@@ -45,6 +47,9 @@ struct RunLengths
     std::uint64_t pipeWarm = 10000;  ///< detailed, stats discarded
     std::uint64_t detail = 50000;    ///< measured region
 
+    /** `funcWarm/pipeWarm/detail` (cache keys, listings). */
+    std::string toString() const;
+
     static RunLengths
     quick()
     {
@@ -58,6 +63,20 @@ struct RunLengths
         return RunLengths{60000, 5000, 30000};
     }
 };
+
+/** RunLengths' field table (sim/fields.hh): `funcWarm`, `pipeWarm`,
+ *  `detail` — the spelling of every `lengths` object (scenario files,
+ *  serve frames, cache entries). */
+using LengthFields = std::array<Field, 3>;
+
+LengthFields lengthFields(RunLengths &l);
+
+/** The table over a const RunLengths, for writers. */
+inline LengthFields
+lengthFields(const RunLengths &l)
+{
+    return lengthFields(const_cast<RunLengths &>(l));
+}
 
 /// @name SMT workload-tuple names
 ///

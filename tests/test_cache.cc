@@ -72,11 +72,18 @@ class CacheTest : public ::testing::Test
 // Canonicalization and key stability
 // ---------------------------------------------------------------------------
 
+/** The canonical form a key hashes: compact, sorted keys. */
+std::string
+canonical(const std::string &text)
+{
+    return writeJsonCompact(parseJson(text));
+}
+
 TEST(CanonicalJson, IndependentOfFieldOrderAndWhitespace)
 {
-    EXPECT_EQ(canonicalJson("{\"b\": 1, \"a\": {\"y\": 2, \"x\": 3}}"),
-              canonicalJson("{ \"a\" : { \"x\" :3, \"y\" :2},\"b\":1 }"));
-    EXPECT_NE(canonicalJson("{\"a\": 1}"), canonicalJson("{\"a\": 2}"));
+    EXPECT_EQ(canonical("{\"b\": 1, \"a\": {\"y\": 2, \"x\": 3}}"),
+              canonical("{ \"a\" : { \"x\" :3, \"y\" :2},\"b\":1 }"));
+    EXPECT_NE(canonical("{\"a\": 1}"), canonical("{\"a\": 2}"));
 }
 
 TEST(CanonicalJson, NumberLexemesSurviveExactly)
@@ -84,9 +91,40 @@ TEST(CanonicalJson, NumberLexemesSurviveExactly)
     // Integers above 2^53 and float lexemes must not be reformatted
     // through a lossy double.
     std::string canon =
-        canonicalJson("{\"big\": 18446744073709551615, \"f\": 0.1}");
+        canonical("{\"big\": 18446744073709551615, \"f\": 0.1}");
     EXPECT_NE(canon.find("18446744073709551615"), std::string::npos);
     EXPECT_NE(canon.find("0.1"), std::string::npos);
+}
+
+TEST(CanonicalJson, ConfigValueTreeMatchesTheTextWriter)
+{
+    // The key hashes the config's value tree; it must render exactly
+    // like the parsed text writer's output, or every key would move.
+    SimConfig limit = SimConfig::limitStudy(LtpMode::NRNU);
+    limit.mem.dram.cpuCyclesPerDramCycle = 1.0 / 3.0;
+    for (const SimConfig &cfg : {SimConfig::baseline(),
+                                 SimConfig::ltpProposal().withSeed(1ull << 60),
+                                 limit})
+        EXPECT_EQ(writeJsonCompact(configToValue(cfg)),
+                  canonical(configToJson(cfg)));
+}
+
+TEST(CellKeyTest, DigestsArePinned)
+{
+    // Digests of the derivation as first shipped: a codec change that
+    // moves any of them orphans every existing cache.
+    SimConfig cfg = SimConfig::baseline();
+    SamplePlan plan = SamplePlan::defaults();
+    EXPECT_EQ(cellKeyFor(cfg, "paper_loop", RunLengths{}).hex,
+              "af2f4b68d8d923141530258e986cfe6a"
+              "09d44c43c5a3e500686241b3b41ed620");
+    EXPECT_EQ(cellKeyFor(cfg, "paper_loop", RunLengths{}, &plan).hex,
+              "83190a778407a3cf0d05b7e182f06eca"
+              "8f744cb34d09585e5a8b08284e4282e9");
+    EXPECT_EQ(
+        cellKeyFor(cfg, "smt:graph_walk+dense_compute", RunLengths{}).hex,
+        "55bd10cf216e5995afdaa26fbb770561"
+        "2f0672fe6d9c1abd4e4494c82f80be9d");
 }
 
 TEST(CellKeyTest, StableAcrossConfigRoundTrip)

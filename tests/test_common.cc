@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <utility>
 #include <string>
@@ -14,12 +15,14 @@
 
 #include "common/binio.hh"
 #include "common/cli.hh"
+#include "common/json.hh"
 #include "common/ring.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "common/timing_wheel.hh"
 #include "common/types.hh"
+#include "sim/fields.hh"
 
 namespace ltp {
 namespace {
@@ -585,6 +588,115 @@ TEST(TimingWheel, RandomTrafficMatchesReferenceSchedule)
         for (const auto &p : pending)
             ASSERT_GT(p.first, to) << "event " << p.second << " missed";
         ASSERT_EQ(w.size(), pending.size());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// JSON reader limits and the field-table codec
+// ---------------------------------------------------------------------------
+
+TEST(Json, NestingIsBoundedAndNamesTheOffset)
+{
+    std::string at_limit = std::string(kJsonMaxDepth, '[') +
+                           std::string(kJsonMaxDepth, ']');
+    EXPECT_NO_THROW(parseJson(at_limit));
+
+    // Deep enough to overflow the stack of an unbounded reader.
+    std::string objects;
+    for (int i = 0; i < 100000; ++i)
+        objects += "{\"k\": ";
+    for (const std::string &deep :
+         {std::string(200000, '['), std::string(kJsonMaxDepth + 1, '['),
+          objects}) {
+        try {
+            parseJson(deep);
+            ADD_FAILURE() << "nesting of " << deep.size() << " accepted";
+        } catch (const std::runtime_error &e) {
+            std::string msg = e.what();
+            EXPECT_NE(msg.find("nesting deeper than"), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("offset"), std::string::npos) << msg;
+        }
+    }
+}
+
+struct FieldsRecord
+{
+    std::uint64_t count = 5;
+    int width = 2;
+    double rate = 0.25;
+    std::string name = "n";
+
+    std::array<Field, 4>
+    fields()
+    {
+        return {Field{"count", FieldKind::U64, &count, 1},
+                Field{"inner.width", FieldKind::Int, &width, 1},
+                Field{"inner.rate", FieldKind::Double, &rate},
+                Field{"name", FieldKind::String, &name}};
+    }
+};
+
+TEST(Fields, ValueTreeMatchesTheTextWriter)
+{
+    FieldsRecord r;
+    r.width = kInfiniteSize;
+    r.rate = 1.0 / 3.0;
+    JsonObjectBuilder o;
+    writeFields(o, r.fields(), 0);
+    EXPECT_EQ(writeJsonCompact(fieldsToValue(r.fields())),
+              writeJsonCompact(parseJson(o.render(0))));
+    EXPECT_EQ(writeJsonCompact(fieldsToValue(r.fields())),
+              "{\"count\":5,\"inner\":{\"rate\":0.33333333333333331,"
+              "\"width\":\"inf\"},\"name\":\"n\"}");
+}
+
+TEST(Fields, StrictReaderNamesTheDottedPath)
+{
+    FieldsRecord r;
+    applyFields(r.fields(),
+                parseJson("{\"inner\": {\"width\": 7}, \"inner.rate\": 2}"),
+                "at");
+    EXPECT_EQ(r.width, 7);
+    EXPECT_EQ(r.rate, 2.0);
+    EXPECT_EQ(r.count, 5u); // absent: unchanged
+
+    auto error = [](const std::string &json) {
+        FieldsRecord scratch;
+        try {
+            applyFields(scratch.fields(), parseJson(json), "at");
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_NE(error("{\"inner\": {\"depth\": 1}}").find("'at.inner.depth'"),
+              std::string::npos);
+    EXPECT_NE(error("{\"inner\": 3}").find("object at at.inner"),
+              std::string::npos);
+    EXPECT_NE(error("[]").find("object at at"), std::string::npos);
+    // Row minimums hold for U64 rows too.
+    EXPECT_NE(error("{\"count\": 0}").find("at.count must be at least 1"),
+              std::string::npos);
+    EXPECT_NE(error("{\"inner\": {\"width\": 0}}")
+                  .find("at.inner.width must be at least 1"),
+              std::string::npos);
+}
+
+TEST(Fields, TolerantReaderSkipsUnknownAndAbsentKeys)
+{
+    FieldsRecord r;
+    readFields(r.fields(), parseJson("{\"name\": \"x\", \"extra\": [1]}"));
+    EXPECT_EQ(r.name, "x");
+    EXPECT_EQ(r.count, 5u);
+    FieldsRecord bad;
+    try {
+        readFields(bad.fields(), parseJson("{\"count\": \"many\"}"), "blk");
+        ADD_FAILURE() << "a string count was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("blk.count"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -41,6 +41,19 @@ tiny()
     return l;
 }
 
+/** Scenario text running each of @p kernels on the baseline, series
+ *  "base", at tiny() staging. */
+std::string
+baselineScenario(const std::string &name, std::uint64_t seed,
+                 const std::string &kernels)
+{
+    return "{\"name\": \"" + name + "\", \"seed\": " +
+           std::to_string(seed) +
+           ", \"lengths\": {\"funcWarm\": 2000, \"pipeWarm\": 400, "
+           "\"detail\": 1000}, \"workloads\": {\"kernels\": [" +
+           kernels + "]}, \"configs\": [{\"series\": \"base\"}]}";
+}
+
 std::uint64_t
 statU64(const JsonValue &stats, const std::string &key)
 {
@@ -184,21 +197,14 @@ TEST_F(DistributedTest, SweepThroughWorkersMatchesLocal)
 
 TEST_F(DistributedTest, ConcurrentIdenticalScenarioSubmissionsComputeOnce)
 {
-    // One explicit-jobs scenario, submitted twice at the same moment:
-    // the frontend's in-flight dedupe (claim-before-cache) must make
-    // the cluster simulate each cell exactly once.
-    SweepSpec spec;
-    spec.name = "dist_scenario";
-    spec.lengths = tiny();
-    spec.add("paper_loop", "base", SimConfig::baseline().withSeed(41),
-             "paper_loop");
-    spec.add("graph_walk", "base", SimConfig::baseline().withSeed(42),
-             "graph_walk");
-    spec.add("linked_list", "base", SimConfig::baseline().withSeed(43),
-             "linked_list");
-    spec.add("sparse_gather", "base",
-             SimConfig::baseline().withSeed(44), "sparse_gather");
-    JsonValue root = parseJson(sweepSpecToJson(spec));
+    // One scenario, submitted twice at the same moment: the
+    // frontend's in-flight dedupe (claim-before-cache) must make the
+    // cluster simulate each cell exactly once.
+    JsonValue root = parseJson(baselineScenario(
+        "dist_scenario", 41,
+        "\"paper_loop\", \"graph_walk\", \"linked_list\", "
+        "\"sparse_gather\""));
+    SweepSpec spec = scenarioFromJson(root).compile(1);
 
     std::vector<SweepResult> results(2);
     std::vector<std::thread> threads;
@@ -332,14 +338,9 @@ TEST_F(DistributedTest, PeerCacheLookupAvoidsRecompute)
 
 TEST_F(DistributedTest, ScenarioSubmissionIsOneRequestFrame)
 {
-    SweepSpec spec;
-    spec.name = "dist_one_frame";
-    spec.lengths = tiny();
-    spec.add("paper_loop", "base", SimConfig::baseline().withSeed(51),
-             "paper_loop");
-    spec.add("linked_list", "base",
-             SimConfig::baseline().withSeed(52), "linked_list");
-    JsonValue root = parseJson(sweepSpecToJson(spec));
+    JsonValue root = parseJson(baselineScenario(
+        "dist_one_frame", 51, "\"paper_loop\", \"linked_list\""));
+    SweepSpec spec = scenarioFromJson(root).compile(1);
 
     auto client = frontendClient();
     std::uint64_t before = statU64(client->rpc("stats"), "requests");

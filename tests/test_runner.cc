@@ -293,32 +293,31 @@ TEST(Report, MetricsJsonRoundTripIsExact)
     EXPECT_EQ(back.edp, m.edp);
 }
 
-/** Every Metrics table field set to a value no other field has
- *  (U64s above 2^53, so only the exact lexeme round-trips them). */
-Metrics
-everyFieldDistinct()
+/** Give every row of @p table a value no other row has (U64s above
+ *  2^53, so only the exact lexeme round-trips them; Ints positive, so
+ *  row minimums hold).  @p i numbers the rows across tables. */
+template <class Table>
+void
+fillDistinct(const Table &table, int &i)
 {
-    Metrics m;
-    int i = 0;
-    for (const Field &f : metricFields(m)) {
+    for (const Field &f : table) {
         i += 1;
         if (f.kind == FieldKind::String)
             fieldRef<std::string>(f) =
                 "s" + std::to_string(i) + " \"quoted\", a\\path";
         else if (f.kind == FieldKind::U64)
             fieldRef<std::uint64_t>(f) = (1ull << 60) + std::uint64_t(i);
+        else if (f.kind == FieldKind::Int)
+            fieldRef<int>(f) = i;
         else
             fieldRef<double>(f) = i + 1.0 / 3.0;
     }
-    return m;
 }
 
-TEST(Report, EveryTableFieldRoundTripsExactly)
+template <class Table>
+void
+expectSameFields(const Table &want, const Table &got)
 {
-    Metrics m = everyFieldDistinct();
-    std::string json = metricsToJson(m);
-    Metrics back = metricsFromJson(json);
-    MetricFields want = metricFields(m), got = metricFields(back);
     for (std::size_t i = 0; i < want.size(); ++i) {
         SCOPED_TRACE(want[i].path);
         if (want[i].kind == FieldKind::String)
@@ -327,12 +326,61 @@ TEST(Report, EveryTableFieldRoundTripsExactly)
         else if (want[i].kind == FieldKind::U64)
             EXPECT_EQ(fieldRef<std::uint64_t>(got[i]),
                       fieldRef<std::uint64_t>(want[i]));
+        else if (want[i].kind == FieldKind::Int)
+            EXPECT_EQ(fieldRef<int>(got[i]), fieldRef<int>(want[i]));
         else
             EXPECT_EQ(fieldRef<double>(got[i]), fieldRef<double>(want[i]));
     }
+}
+
+/** Every Metrics table field set to a value no other field has. */
+Metrics
+everyFieldDistinct()
+{
+    Metrics m;
+    int i = 0;
+    fillDistinct(metricFields(m), i);
+    return m;
+}
+
+TEST(Report, EveryTableFieldRoundTripsExactly)
+{
+    Metrics m = everyFieldDistinct();
+    // The `smt` and `sampling` blocks: every row of their tables.
+    int i = 100;
+    m.threads.resize(2);
+    for (ThreadMetrics &t : m.threads)
+        fillDistinct(threadFields(t), i);
+    fillDistinct(samplingFields(m.sampling), i);
+    m.sampling.sampleIpcs = {0.5, 1.0 / 7.0};
+    ASSERT_TRUE(m.sampling.hasCi());
+
+    std::string json = metricsToJson(m);
+    Metrics back = metricsFromJson(json);
+    MetricFields want = metricFields(m);
+    expectSameFields(want, metricFields(back));
+    ASSERT_EQ(back.threads.size(), 2u);
+    for (std::size_t t = 0; t < 2; ++t)
+        expectSameFields(threadFields(m.threads[t]),
+                         threadFields(back.threads[t]));
+    expectSameFields(samplingFields(m.sampling),
+                     samplingFields(back.sampling));
+    EXPECT_EQ(back.sampling.sampleIpcs, m.sampling.sampleIpcs);
     EXPECT_EQ(metricsToJson(back), json);
     // Dotted paths nest: energy.iq is "iq" inside "energy".
     EXPECT_NE(json.find("\"energy\": {"), std::string::npos) << json;
+
+    // The staging records round-trip through their value trees.
+    RunLengths lengths, lengths_back{0, 0, 0};
+    fillDistinct(lengthFields(lengths), i);
+    applyFields(lengthFields(lengths_back),
+                fieldsToValue(lengthFields(lengths)), "lengths");
+    expectSameFields(lengthFields(lengths), lengthFields(lengths_back));
+    SamplePlan plan, plan_back;
+    fillDistinct(samplePlanFields(plan), i);
+    applyFields(samplePlanFields(plan_back),
+                fieldsToValue(samplePlanFields(plan)), "sampling");
+    expectSameFields(samplePlanFields(plan), samplePlanFields(plan_back));
 
     // CSV: row, series, one column per table field, then the rest.
     SweepResult result;

@@ -575,11 +575,6 @@ TEST(SamplingScenarioTest, ParsesSamplingBlockIntoSpec)
     EXPECT_EQ(spec.sampling.warmup, 500u);
     EXPECT_EQ(spec.sampling.detail, 1500u);
     EXPECT_EQ(spec.sampling.samples, 3);
-
-    // The explicit-jobs export round-trips the plan.
-    Scenario round = scenarioFromJson(sweepSpecToJson(spec));
-    EXPECT_EQ(round.compile().sampling.toString(),
-              spec.sampling.toString());
 }
 
 TEST(SamplingScenarioTest, RejectsBadSamplingBlocks)

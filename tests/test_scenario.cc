@@ -68,20 +68,6 @@ expectSpecsIdentical(const SweepSpec &a, const SweepSpec &b)
     }
 }
 
-/** Bit-identity of two grids, via the exact Metrics JSON dump. */
-void
-expectGridsIdentical(const ResultGrid &a, const ResultGrid &b)
-{
-    ASSERT_EQ(a.rows(), b.rows());
-    for (const std::string &row : a.rows()) {
-        ASSERT_EQ(a.series(row), b.series(row)) << row;
-        for (const std::string &series : a.series(row))
-            EXPECT_EQ(metricsToJson(a.at(row, series)),
-                      metricsToJson(b.at(row, series)))
-                << "(" << row << ", " << series << ")";
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Parse errors name the offending path
 // ---------------------------------------------------------------------------
@@ -226,9 +212,10 @@ TEST(Scenario, SemanticErrorsAreDescriptive)
         "[\"graph_walk\"]}, \"configs\": [{\"series\": \"a\"}, "
         "{\"series\": \"a\"}]}",
         "duplicate series");
+    // The explicit-jobs form is gone: `jobs` is an unknown key.
     expectParseErrorContains(
         "{\"name\": \"x\", \"jobs\": [], \"configs\": []}",
-        "mutually exclusive");
+        "unknown key 'jobs'");
     // Pinned rows: unique per (row, series), never a sweep point.
     expectParseErrorContains(
         "{\"name\": \"x\", \"workloads\": {\"kernels\": "
@@ -480,39 +467,6 @@ TEST(Scenario, NameOverrideAndSeedPropagate)
     ASSERT_EQ(spec.jobs.size(), 1u);
     EXPECT_EQ(spec.jobs[0].cfg.name, "relabelled");
     EXPECT_EQ(spec.jobs[0].cfg.seed, 99u);
-}
-
-// ---------------------------------------------------------------------------
-// Explicit-jobs export round trip
-// ---------------------------------------------------------------------------
-
-TEST(Scenario, SweepSpecExportRoundTripsAndRunsIdentically)
-{
-    std::vector<SimConfig> configs = {
-        SimConfig::baseline().withSeed(3).withName("base"),
-        SimConfig::ltpProposal().withSeed(3).withName("ltp")};
-    SweepSpec spec = SweepSpec::cross(
-        "export", configs, {"paper_loop", "hash_probe"},
-        RunLengths{4000, 800, 2000});
-    spec.addGroup("grp", "base", configs[0],
-                  {"dense_compute", "reduction"}, "grp");
-
-    Scenario sc = scenarioFromJson(sweepSpecToJson(spec));
-    EXPECT_TRUE(sc.explicitJobs);
-    SweepSpec back = sc.compile(1);
-    expectSpecsIdentical(spec, back);
-
-    // Exported jobs keep their own seeds unless one is forced, in
-    // which case it overrides every job (the `ltp sweep --seed` path).
-    EXPECT_FALSE(sc.hasSeed);
-    sc.seed = 99;
-    sc.hasSeed = true;
-    for (const SweepJob &job : sc.compile(1).jobs)
-        EXPECT_EQ(job.cfg.seed, 99u);
-
-    SweepResult direct = Runner(1).run(spec);
-    SweepResult loaded = Runner(2).run(back);
-    expectGridsIdentical(direct.grid, loaded.grid);
 }
 
 // ---------------------------------------------------------------------------

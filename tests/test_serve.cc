@@ -264,7 +264,7 @@ runFrameWithKey(const std::string &key, const SimConfig &cfg,
     frame.object["key"] = jsonStr(key);
     frame.object["workload"] = jsonStr(workload);
     frame.object["config"] = parseJson(configToJson(cfg));
-    frame.object["lengths"] = lengthsJson(tiny());
+    frame.object["lengths"] = fieldsToValue(lengthFields(tiny()));
     return frame;
 }
 
@@ -423,6 +423,32 @@ TEST(LineConnTest, MultiMegabyteLineThenShortLineArriveIntact)
     ASSERT_TRUE(reader.readLine(line));
     EXPECT_EQ(line, "short");
     sender.join();
+}
+
+TEST_F(ServeTest, DeepAndOversizedFramesLeaveTheDaemonServing)
+{
+    // A frame nested past the reader's bound is an error reply...
+    {
+        LineConn conn(connectTcp("127.0.0.1", server_->port()));
+        ASSERT_TRUE(conn.writeLine(std::string(200000, '[')));
+        std::string line;
+        ASSERT_TRUE(conn.readLine(line));
+        JsonValue reply = parseJson(line);
+        EXPECT_EQ(frameStr(reply, "type"), "error");
+        EXPECT_NE(frameStr(reply, "message").find("nesting deeper than"),
+                  std::string::npos)
+            << line;
+    }
+    // ...and a line past the frame bound closes only its connection.
+    {
+        LineConn conn(connectTcp("127.0.0.1", server_->port()));
+        std::string huge(kMaxFrameBytes + 4096, 'x');
+        conn.writeLine(huge); // may fail once the daemon hangs up
+        std::string line;
+        EXPECT_FALSE(conn.readLine(line));
+    }
+    JsonValue pong = connect()->rpc("ping");
+    EXPECT_EQ(frameStr(pong, "type"), "pong");
 }
 
 TEST_F(ServeTest, ProgressTrafficKeepsASlowRequestAlive)

@@ -13,12 +13,9 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -27,11 +24,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "common/cli.hh"
 #include "common/json.hh"
@@ -272,13 +265,20 @@ progressFn(const Cli &cli, const std::string &name, bool caching)
 SamplePlan
 samplePlanFromCli(const Cli &cli, SamplePlan base)
 {
-    auto u64 = [&cli](const char *key, std::uint64_t dflt) {
-        return std::uint64_t(cli.integer(key, std::int64_t(dflt)));
-    };
-    base.samples = int(cli.integer("samples", base.samples));
-    base.fastForward = u64("sample-ff", base.fastForward);
-    base.warmup = u64("sample-warmup", base.warmup);
-    base.detail = u64("sample-detail", base.detail);
+    // The flags of samplePlanFields' rows, in row order.  Each is set
+    // through its row, so a row minimum names the flag; like a file's
+    // `sampling` object, they edit the default plan when there is none.
+    static const char *const kFlags[] = {"samples", "sample-ff",
+                                         "sample-warmup", "sample-detail"};
+    SamplePlanFields rows = samplePlanFields(base);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!cli.has(kFlags[i]))
+            continue;
+        if (!base.enabled())
+            base = SamplePlan::defaults();
+        setField(rows[i], std::to_string(cli.integer(kFlags[i], 0)),
+                 ("--" + std::string(kFlags[i])).c_str());
+    }
     return base;
 }
 
@@ -384,7 +384,7 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
                                   ? RunLengths{}
                                   : parseLengths(it->second, "lengths");
             root.object["lengths"] =
-                lengthsJson(stagingLengths(cli, base));
+                fieldsToValue(lengthFields(stagingLengths(cli, base)));
         }
         if (cli.has("samples") || cli.has("sample-ff") ||
             cli.has("sample-warmup") || cli.has("sample-detail")) {
@@ -393,8 +393,8 @@ cmdSubmitSweep(const std::string &path, const Cli &cli)
                 it == root.object.end()
                     ? SamplePlan{}
                     : parseSampling(it->second, "sampling");
-            root.object["sampling"] =
-                samplingJson(samplePlanFromCli(cli, base));
+            root.object["sampling"] = fieldsToValue(
+                samplePlanFields(samplePlanFromCli(cli, base)));
         }
     } catch (const std::runtime_error &e) {
         fatal("%s: %s", path.c_str(), e.what());
@@ -435,10 +435,7 @@ cmdSweep(const Cli &cli)
     scenario.lengths = stagingLengths(cli, scenario.lengths);
     // Overrides the file's seed before compile, so it also reseeds the
     // panel classification (unlike --set seed=N, which applies after).
-    if (cli.has("seed")) {
-        scenario.seed = cli.integer("seed", scenario.seed);
-        scenario.hasSeed = true;
-    }
+    scenario.seed = cli.integer("seed", scenario.seed);
 
     int threads = int(cli.integer("threads", 0));
     ExecBackendPtr backend = makeBackend(cli);
@@ -469,46 +466,6 @@ cmdSweep(const Cli &cli)
     return 0;
 }
 
-/**
- * `--perf-record=<out.data>`: attach `perf record -g` to this process
- * for the duration of the bench, so the call-graph profile and the
- * per-stage attribution come from the same run.  Returns the perf pid
- * (-1 when not requested); stopPerf() reaps it.
- */
-pid_t
-startPerf(const std::string &out)
-{
-    pid_t pid = ::fork();
-    if (pid < 0)
-        fatal("--perf-record: fork failed: %s", std::strerror(errno));
-    if (pid == 0) {
-        std::string target = std::to_string(::getppid());
-        ::execlp("perf", "perf", "record", "-g", "-o", out.c_str(),
-                 "-p", target.c_str(), (char *)nullptr);
-        _exit(127); // perf not installed
-    }
-    // Give perf a beat to attach so the bench's first cells are in
-    // the profile too.
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    return pid;
-}
-
-void
-stopPerf(pid_t pid, const std::string &out)
-{
-    ::kill(pid, SIGINT);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 127)
-        std::fprintf(stderr,
-                     "--perf-record: `perf` is not installed; no "
-                     "profile written\n");
-    else
-        std::printf("perf profile written to %s (inspect with "
-                    "`perf report -i %s`)\n",
-                    out.c_str(), out.c_str());
-}
-
 int
 cmdBench(const Cli &cli)
 {
@@ -537,22 +494,10 @@ cmdBench(const Cli &cli)
         opts.scenarios.push_back(path);
     }
 
-    std::string perf_out = cli.str("perf-record", "");
-    pid_t perf_pid = perf_out.empty() ? -1 : startPerf(perf_out);
-
     std::string baseline = cli.str("baseline", "");
-    SimSpeedReport report;
-    try {
-        report = runSimSpeedBench(opts);
-        if (!baseline.empty())
-            report.referenceKips = loadReferenceKips(baseline);
-    } catch (const std::exception &) {
-        if (perf_pid > 0)
-            ::kill(perf_pid, SIGKILL);
-        throw;
-    }
-    if (perf_pid > 0)
-        stopPerf(perf_pid, perf_out);
+    SimSpeedReport report = runSimSpeedBench(opts);
+    if (!baseline.empty())
+        report.referenceKips = loadReferenceKips(baseline);
 
     Table t({"cell", "config", "sims", "insts", "wall ms", "kIPS",
              "ticks", "ticks skipped"});
@@ -734,13 +679,11 @@ cmdRecord(const Cli &cli)
         t.addRow({kernel, path, std::to_string(info.recordLength()),
                   std::to_string(bytes.size())});
     }
-    t.print(strprintf("recorded %zu trace(s), seed %llu, staging "
-                      "%llu/%llu/%llu (+%llu slack)",
+    t.print(strprintf("recorded %zu trace(s), seed %llu, staging %s "
+                      "(+%llu slack)",
                       kernels.size(),
                       static_cast<unsigned long long>(seed),
-                      static_cast<unsigned long long>(lengths.funcWarm),
-                      static_cast<unsigned long long>(lengths.pipeWarm),
-                      static_cast<unsigned long long>(lengths.detail),
+                      lengths.toString().c_str(),
                       static_cast<unsigned long long>(kTraceFetchSlack)));
     return 0;
 }
@@ -1003,9 +946,6 @@ cmdSample(const Cli &cli)
     SimConfig cfg = configFromCli(cli, cli.str("preset", "baseline"));
 
     SamplePlan plan = samplePlanFromCli(cli, SamplePlan::defaults());
-    if (plan.samples <= 0 || plan.detail == 0)
-        fatal("sampling needs --samples > 0 and --sample-detail > 0 "
-              "(got %s)", plan.toString().c_str());
 
     std::string from = cli.str("from", "");
     SweepResult result;
@@ -1140,13 +1080,7 @@ cmdCache(const Cli &cli)
                  "state"});
         for (const CacheEntryInfo &e : cache.list())
             t.addRow({e.key.substr(0, 12), e.config, e.workload,
-                      strprintf("%llu/%llu/%llu",
-                                static_cast<unsigned long long>(
-                                    e.funcWarm),
-                                static_cast<unsigned long long>(
-                                    e.pipeWarm),
-                                static_cast<unsigned long long>(
-                                    e.detail)),
+                      e.lengths.toString(),
                       std::to_string(e.bytes),
                       e.valid ? "ok" : "INVALID"});
         t.print(strprintf("result cache at %s", cache.dir().c_str()));
@@ -1298,15 +1232,14 @@ const std::vector<Command> kCommands = {
       "prints a heartbeat, --submit ships it to --server in one request"},
      cmdSweep},
     {"bench",
-     {{"scenario", "baseline", "perf-record", "reps"},
+     {{"scenario", "baseline", "reps"},
       {"quick", "check", "profile"},
       Positional::None,
       "",
       "simulator throughput (kIPS, in-process, uncached) over kernels\n"
       "and --scenario files -> BENCH_simspeed.json; --baseline --check\n"
       "fails on a >25% regression or changed work counters; --reps=N\n"
-      "keeps the best of N; --profile times pipeline stages;\n"
-      "--perf-record=<out.data> runs `perf record -g` alongside"},
+      "keeps the best of N; --profile times pipeline stages"},
      cmdBench},
     {"record",
      {{"out"}, {}, Positional::Required,
